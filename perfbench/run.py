@@ -3,8 +3,8 @@
 
 Usage (from the repository root)::
 
-    python3 perfbench/run.py --service-rate 40 --workload long_pacbio \\
-        --seed 1 --seconds 45 --trace 0
+    python3 perfbench/run.py --service-rate 30 --workload long_pacbio \\
+        --seed 1 --seconds 34 --trace 0
 
 ``--trace 0`` prints the end-to-end metrics of ``BENCHMARK.json``;
 ``--trace 1`` is the separate traced run that prints the per-layer ledger
@@ -16,7 +16,8 @@ standard output is one JSON object::
 
 Exit codes: 0 correct and valid; 1 a wrong, failed or invalid run (the
 result line still prints, with ``"correct": false``); 2 the program or
-``BENCHMARK.json`` cannot be found or the arguments are wrong.
+``BENCHMARK.json`` cannot be found or the arguments are wrong (nothing is
+printed on standard output).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import pickle
 import platform
@@ -31,6 +33,9 @@ import resource
 import statistics
 import subprocess
 import sys
+import time
+import traceback
+from functools import partial
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -51,6 +56,7 @@ def parse_args(argv):
         help="open-loop request rate of service_open (fixed in BENCHMARK.json's command)",
     )
     parser.add_argument("--generate", help=argparse.SUPPRESS)
+    parser.add_argument("--setup-probe", help=argparse.SUPPRESS)
     return parser.parse_args(argv)
 
 
@@ -62,11 +68,11 @@ def fail(message: str) -> int:
 # --------------------------------------------------------------------------- #
 # Provenance
 # --------------------------------------------------------------------------- #
-def source_fingerprint() -> str:
-    """Digest of every program source file (the checkout is not always a repo)."""
+def source_fingerprint(root: Path = SRC) -> str:
+    """Digest of every Python file under ``root`` (the checkout is not always a repo)."""
     digest = hashlib.sha256()
-    for path in sorted(SRC.rglob("*.py")):
-        digest.update(str(path.relative_to(SRC)).encode())
+    for path in sorted(root.rglob("*.py")):
+        digest.update(str(path.relative_to(root)).encode())
         digest.update(path.read_bytes())
     return digest.hexdigest()[:16]
 
@@ -124,85 +130,113 @@ def provenance(args, inputs, why: str, src: str) -> dict:
 # --------------------------------------------------------------------------- #
 # Runs
 # --------------------------------------------------------------------------- #
-def end_to_end(args, inputs, report: dict):
+def runner_factory(args, inputs):
+    """Build the workload's runner; the service splits a traced run in halves."""
+    from workloads import RUNNERS
+
+    seconds = args.seconds / 2 if args.trace else args.seconds
+    return partial(
+        RUNNERS[args.workload], inputs, out_dir=OUT, rate=args.service_rate, seconds=seconds
+    )
+
+
+def setup_probe(args) -> int:
+    """Child process: one cold set-up, its times printed as JSON.
+
+    The clock covers importing the workload's modules (numpy and ``repro``
+    included, as a fresh user process pays them) and building the runner
+    with its warm-up pass; loading the pickled inputs is not timed.
+    """
+    start = time.perf_counter()
     import workloads
 
-    if args.workload in ("long_pacbio", "short_illumina"):
-        outcome = workloads.run_offline(inputs, args.seconds)
-    elif args.workload == "fastq_to_sam":
-        outcome = workloads.run_fastq(inputs, args.seconds, OUT)
-    else:
-        outcome = workloads.run_service(inputs, args.seconds, args.service_rate)
-    rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    imported = time.perf_counter() - start
+    with open(args.setup_probe, "rb") as handle:
+        inputs = pickle.load(handle)
+    start = time.perf_counter()
+    runner = runner_factory(args, inputs)()
+    built = time.perf_counter() - start
+    runner.close()
+    print(json.dumps({"import_s": imported, "build_s": built, **runner.setup_layers}))
+    return 0
 
+
+def setup_probes(argv, inputs_path: Path) -> list:
+    """:data:`workloads.SETUP_REPEATS` cold set-ups, each in a fresh process."""
+    from workloads import SETUP_REPEATS
+
+    probes = []
+    for _ in range(SETUP_REPEATS):
+        done = subprocess.run(
+            [sys.executable, str(Path(__file__).resolve()), *argv,
+             "--setup-probe", str(inputs_path)],
+            capture_output=True, text=True, timeout=60,
+        )
+        if done.returncode != 0:
+            sys.stderr.write(done.stderr)
+            raise RuntimeError(f"set-up failed in a fresh process (exit {done.returncode})")
+        probes.append(json.loads(done.stdout.strip().splitlines()[-1]))
+    return probes
+
+
+def end_to_end(args, argv, inputs, inputs_path: Path, report: dict):
+    import workloads
+    from workloads import SUSTAINED_PERCENTILE, percentile
+
+    probes = setup_probes(argv, inputs_path)
+    runner = runner_factory(args, inputs)()
+    try:
+        outcome = workloads.run_untraced(runner, args.seconds)
+    finally:
+        runner.close()
+    passes = outcome.passes
     metrics = {
-        "setup_s": statistics.median(outcome.setup_seconds),
-        "aligned_bases_per_s": outcome.bases_per_second,
-        "peak_rss_mb": rss_mb,
+        "setup_s": statistics.median(p["import_s"] + p["build_s"] for p in probes),
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     }
-    samples = len(outcome.latencies)
-    if samples:
-        p50, _ = workloads.percentile(outcome.latencies, 50)
-        p90, _ = workloads.percentile(outcome.latencies, 90)
-        p99, beyond = workloads.percentile(outcome.latencies, 99)
-        report.update(req_p50_ms=p50 * 1e3, req_p90_ms=p90 * 1e3, req_p99_ms=p99 * 1e3)
-        if outcome.pass_seconds:
-            report["median_bases_per_s"] = inputs.pattern_bases / statistics.median(
-                outcome.pass_seconds
-            )
+    report.update(
+        setup_import_s=[p["import_s"] for p in probes],
+        setup_build_s=[p["build_s"] for p in probes],
+        pass_seconds=[p.seconds for p in passes],
+    )
+    if passes:
+        # Quoted at the 90th-percentile pass time; the service makes one pass.
+        per_base, _ = percentile([p.seconds / p.bases for p in passes], SUSTAINED_PERCENTILE)
+        metrics["aligned_bases_per_s"] = 1.0 / per_base
+        pooled = [t for p in passes for t in p.latencies]
+        for q in (50, 90, 99):
+            report[f"req_p{q}_ms"] = percentile(pooled, q)[0] * 1e3
+        report["latency_samples"] = len(pooled)
+        report["median_bases_per_s"] = statistics.median(p.bases / p.seconds for p in passes)
+        beyond = percentile(pooled, 99)[1]
         if beyond < 10:
             outcome.invalid.append(
-                f"p99 has {beyond} samples beyond it from {samples} (needs 10)"
+                f"p99 has {beyond} samples beyond it from {len(pooled)} (needs 10)"
             )
-    report.update(
-        setup_runs=outcome.setup_seconds,
-        pass_seconds=outcome.pass_seconds,
-        latency_samples=samples,
-        failed_frac=outcome.failed / max(1, outcome.attempted),
-        invalid=outcome.invalid,
-        **outcome.details,
-    )
+        for done in passes:
+            report.update(done.details)
     return metrics, outcome
 
 
 def traced_run(args, inputs, report: dict, src: str):
     import traced
-    import workloads
     from ledger import Ledger
     from repro.telemetry.exporters import write_chrome_trace
 
     ledger = Ledger(inputs.config)
-    if args.workload in ("long_pacbio", "short_illumina"):
-        metrics, exact, outcome = traced.trace_offline(inputs, args.seconds, ledger)
-    elif args.workload == "fastq_to_sam":
-        metrics, exact, outcome = traced.trace_fastq(inputs, args.seconds, ledger, OUT)
-    else:
-        metrics, exact, outcome = traced.trace_service(
-            inputs, args.seconds, ledger, args.service_rate
-        )
-    metrics["core.serial_bases_per_s"] = inputs.pattern_bases / inputs.serial_seconds
-
-    # Exact counts must also repeat across runs of this seed and program.
-    counts = {name: metrics[name] for name in exact}
-    ledger_file = OUT / f"counts-{args.workload}-{args.seed}.json"
-    if ledger_file.exists():
-        previous = json.loads(ledger_file.read_text())
-        if previous["src_fingerprint"] == src and previous["counts"] != counts:
-            drift = {
-                n: [previous["counts"].get(n), v]
-                for n, v in counts.items()
-                if previous["counts"].get(n) != v
-            }
-            outcome.invalid.append(f"counts drifted from the previous run: {drift}")
-    ledger_file.write_text(json.dumps({"src_fingerprint": src, "counts": counts}))
+    metrics, exact, outcome, runner = traced.trace(
+        runner_factory(args, inputs), args.seconds, ledger
+    )
+    if metrics:
+        metrics["core.serial_bases_per_s"] = inputs.pattern_bases / inputs.serial_seconds
+        check_counts(args, src, runner.count_scope, {n: metrics[n] for n in exact}, outcome)
 
     if args.workload == "long_pacbio":
-        baseline = inputs
-        if args.seed != traced.BASELINE_SEED:
-            baseline = workloads.generate(
-                "long_pacbio", traced.BASELINE_SEED, str(OUT), reference=False
-            )
-        got = traced.baseline_counts(baseline)
+        try:
+            got = traced.baseline_counts()
+        except Exception as error:
+            traceback.print_exc()
+            got = f"the baseline pass raised {error!r}"
         report["baseline_counts"] = got
         if got != traced.BASELINE_COUNTS:
             outcome.invalid.append(
@@ -211,13 +245,29 @@ def traced_run(args, inputs, report: dict, src: str):
 
     trace_path = OUT / f"trace-{args.workload}-{args.seed}.json"
     write_chrome_trace(trace_path, ledger.records, process_names=ledger.tracer.process_names)
-    report.update(
-        chrome_trace=str(trace_path.relative_to(ROOT)),
-        spans=len(ledger.records),
-        failed_frac=outcome.failed / max(1, outcome.attempted),
-        invalid=outcome.invalid,
-    )
+    report.update(chrome_trace=str(trace_path.relative_to(ROOT)), spans=len(ledger.records))
     return metrics, outcome
+
+
+def check_counts(args, src: str, scope: str, counts: dict, outcome) -> None:
+    """Exact counts must also repeat across runs of one seed, program and scope.
+
+    ``scope`` is what else the counts depend on: the number of requests a
+    service run sends, which follows from ``--seconds`` and the rate.
+    """
+    # The inputs are made by this benchmark's own code, so it is part of the key.
+    key = {"src_fingerprint": src, "bench_fingerprint": source_fingerprint(HERE), "scope": scope}
+    ledger_file = OUT / f"counts-{args.workload}-{args.seed}.json"
+    if ledger_file.exists():
+        previous = json.loads(ledger_file.read_text())
+        if previous.get("key") == key and previous["counts"] != counts:
+            drift = {
+                n: [previous["counts"].get(n), v]
+                for n, v in counts.items()
+                if previous["counts"].get(n) != v
+            }
+            outcome.invalid.append(f"counts drifted from the previous run: {drift}")
+    ledger_file.write_text(json.dumps({"key": key, "counts": counts}))
 
 
 def generate_inputs(argv, workload: str, seed: int):
@@ -225,6 +275,7 @@ def generate_inputs(argv, workload: str, seed: int):
 
     The child is this script with ``--generate PATH``; it pickles the
     :class:`workloads.Inputs` to ``PATH`` inside the output directory.
+    Returns the inputs and the path, which the set-up probes load.
     """
     path = OUT / f"{workload}-{seed}.inputs.pickle"
     subprocess.run(
@@ -233,7 +284,7 @@ def generate_inputs(argv, workload: str, seed: int):
         timeout=150,
     )
     with open(path, "rb") as handle:
-        return pickle.load(handle)
+        return pickle.load(handle), path
 
 
 def main(argv=None) -> int:
@@ -249,6 +300,8 @@ def main(argv=None) -> int:
         return fail("service_open needs --service-rate (BENCHMARK.json's command sets it)")
     sys.path.insert(0, str(SRC))
     OUT.mkdir(exist_ok=True)
+    if args.setup_probe:
+        return setup_probe(args)
 
     from workloads import WORKLOADS, generate
 
@@ -267,34 +320,48 @@ def main(argv=None) -> int:
             path.unlink()
 
 
+#: The end-to-end metrics of a ``--trace 0`` run, with their units.
+END_TO_END_UNITS = {
+    "aligned_bases_per_s": "bases/s",
+    "peak_rss_mb": "MB",
+    "setup_s": "s",
+}
+
+
 def measure(argv, args, spec) -> int:
-    from ledger import PER_LAYER_UNITS, CountDrift
-    from workloads import WORKLOADS
+    from ledger import PER_LAYER_UNITS
+    from workloads import WORKLOADS, Outcome
 
     declared = spec["per_layer"] if args.trace else spec["end_to_end"]
     units = {m["name"]: m["unit"] for m in declared}
-    if args.trace and units != PER_LAYER_UNITS:
-        return fail("the ledger's metrics differ from BENCHMARK.json's per_layer list")
+    if units != (PER_LAYER_UNITS if args.trace else END_TO_END_UNITS):
+        return fail("the benchmark's metrics differ from those BENCHMARK.json declares")
 
     src = source_fingerprint()
-    inputs = generate_inputs(argv, args.workload, args.seed)
-    report = provenance(args, inputs, WORKLOADS[args.workload], src)
-    print("perfbench provenance " + json.dumps(report, sort_keys=True), flush=True)
-
     detail: dict = {}
+    metrics: dict = {}
     try:
+        inputs, inputs_path = generate_inputs(argv, args.workload, args.seed)
+        report = provenance(args, inputs, WORKLOADS[args.workload], src)
+        print("perfbench provenance " + json.dumps(report, sort_keys=True), flush=True)
         if args.trace:
             metrics, outcome = traced_run(args, inputs, detail, src)
         else:
-            metrics, outcome = end_to_end(args, inputs, detail)
-    except CountDrift as drift:
-        print(f"perfbench: {drift}", file=sys.stderr)
-        return 1
-    if set(metrics) - set(units):
-        return fail(f"metrics missing from BENCHMARK.json: {sorted(set(metrics) - set(units))}")
+            metrics, outcome = end_to_end(args, argv, inputs, inputs_path, detail)
+    except Exception as error:  # the program raised outside a measured pass
+        traceback.print_exc()
+        outcome = Outcome(attempted=1, failed=1)
+        outcome.invalid.append(f"{type(error).__name__}: {error}")
+    metrics = {name: value for name, value in metrics.items() if math.isfinite(value)}
     missing = sorted(set(units) - set(metrics))
     if missing:
         outcome.invalid.append(f"no value for {missing}")
+    detail.update(
+        attempted=outcome.attempted,
+        failed=outcome.failed,
+        failed_frac=outcome.failed / max(1, outcome.attempted),
+        invalid=outcome.invalid,
+    )
 
     print("perfbench detail " + json.dumps(detail, sort_keys=True))
     for name in units:
@@ -304,7 +371,7 @@ def measure(argv, args, spec) -> int:
     correct = outcome.failed == 0 and not outcome.invalid
     result = {
         "correct": correct,
-        "attempted": outcome.attempted,
+        "attempted": max(1, outcome.attempted),
         "failed": outcome.failed,
         "metrics": {
             name: {"value": metrics[name], "unit": units[name]}

@@ -1,36 +1,38 @@
-"""Traced runs: untraced and traced passes alternate for ``--seconds``; the
-ledger comes from the traced ones, and their ratio gives the tracing
-overhead.
+"""The traced run: untraced and traced passes alternate for ``--seconds``.
 
-Each ``trace_*`` function returns ``(metrics, exact, outcome)``: the
-per-layer metrics (medians over traced passes), the names of the counts
-that must repeat exactly, and an :class:`~workloads.Outcome` carrying the
-correctness tally of every pass.
+Both kinds of pass go through the same :meth:`workloads.Runner.measure`;
+a traced pass runs inside :meth:`ledger.Ledger.recording` on a runner
+built with the ledger's tracer.  The ledger comes from the traced passes,
+and their ratio to the untraced ones gives the tracing overhead.
 """
 
 from __future__ import annotations
 
+import math
 import statistics
-from pathlib import Path
-from typing import Dict, List
+from typing import Callable, Dict, List, Tuple
 
-from repro import BatchAlignmentEngine, StreamingPipeline
-from repro.service import AlignmentService
+from repro import BatchAlignmentEngine, GenASMConfig
+from repro.harness.dataset import build_paper_dataset
+from repro.telemetry.trace import NULL_TRACER
 
 import workloads
 from ledger import (
     EXACT_COUNTS,
     PER_LAYER_UNITS,
     SERVICE_EXACT_COUNTS,
+    CountDrift,
     Ledger,
     alignment_metrics,
     combine,
     layer_metrics,
 )
-from workloads import Inputs, Outcome, clock
+from workloads import Outcome, Pass, PassFailed, Runner
 
-#: Lane/wave counts of long_pacbio at seed 7 (256 lanes), as profiled in
-#: the ROADMAP baseline; the traced long_pacbio run re-derives them.
+#: Lane/wave counts of ``build_paper_dataset(96, 500, seed=7)`` on 256
+#: lanes, as profiled in the ROADMAP baseline; the traced long_pacbio run
+#: re-derives them.
+BASELINE_READS = 96
 BASELINE_SEED = 7
 BASELINE_COUNTS = {
     "batch.dc.waves": 56,
@@ -40,175 +42,82 @@ BASELINE_COUNTS = {
 }
 
 
-def _complete(metrics: Dict[str, float]) -> Dict[str, float]:
-    """Every per-layer metric, zero where the workload has no such layer."""
-    return {name: metrics.get(name, 0) for name in PER_LAYER_UNITS}
+def _mean_latency(done: Pass) -> float:
+    finite = [t for t in done.latencies if math.isfinite(t)]
+    return statistics.mean(finite) if finite else math.inf
 
 
-def _overhead(untraced: List[float], traced: List[float]) -> float:
-    return statistics.median(traced) / statistics.median(untraced) - 1.0
+def pass_metrics(records, done: Pass) -> Dict[str, float]:
+    """Per-layer metrics of one traced pass."""
+    metrics = layer_metrics(records)
+    metrics.update(alignment_metrics(done.alignments))
+    metrics.update(done.layers)
+    if "service.waves" in done.layers:
+        metrics["service.engine_busy_frac"] = metrics["batch.engine.busy_s"] / done.seconds
+    return metrics
 
 
-# --------------------------------------------------------------------------- #
-def trace_offline(inputs: Inputs, seconds: float, ledger: Ledger):
-    engine, setups = workloads.setup_offline(inputs)
-    outcome = Outcome(setups)
-    pairs = inputs.pairs
-    untraced_s: List[float] = []
-    traced_s: List[float] = []
-    pass_records: List[list] = []
-    pass_metrics: List[Dict[str, float]] = []
+def trace(
+    build: Callable[..., Runner], seconds: float, ledger: Ledger
+) -> Tuple[Dict[str, float], Tuple[str, ...], Outcome, Runner]:
+    """Alternate untraced and traced passes; return the ledger of the traced ones.
 
-    def untraced():
-        start = clock()
-        alignments = engine.align_pairs(pairs)
-        untraced_s.append(clock() - start)
-        outcome.attempted += len(pairs)
-        outcome.failed += workloads.mismatches(alignments, inputs.expected)
+    Returns ``(metrics, exact, outcome, runner)``: every per-layer metric
+    (medians over traced passes, zero where the workload has no such
+    layer), the names of the counts that must repeat exactly, the tally of
+    every pass, and the untraced runner.  An exact count that differs
+    between traced passes makes the run invalid and leaves no metrics.
+    """
+    plain = build(tracer=NULL_TRACER)
+    outcome = Outcome()
+    untraced: List[Pass] = []
+    traced: List[Pass] = []
+    records: List[list] = []
+    per_pass: List[Dict[str, float]] = []
+    try:
+        instrumented = build(tracer=ledger.tracer)
+        try:
+            def both():
+                untraced.append(plain.measure(outcome))
+                done = instrumented.measure(outcome, ledger, records)
+                per_pass.append(pass_metrics(records[-1], done))
+                traced.append(done)
+                # Checked and counted; kept, they would pile up pass by pass.
+                untraced[-1].alignments = done.alignments = []
 
-    def traced():
-        start = clock()
-        with ledger.recording(pass_records):
-            alignments = engine.align_pairs(pairs)
-        traced_s.append(clock() - start)
-        outcome.attempted += len(pairs)
-        outcome.failed += workloads.mismatches(alignments, inputs.expected)
-        metrics = layer_metrics(pass_records[-1])
-        metrics.update(alignment_metrics(alignments))
-        pass_metrics.append(metrics)
+            workloads.run_passes(seconds, both, plain.minimum_passes)
+        except PassFailed:
+            pass  # counted as failed units by Runner.measure
+        finally:
+            instrumented.close()
+    finally:
+        plain.close()
 
-    workloads.run_passes(seconds, lambda: (untraced(), traced()), minimum=2)
-    metrics = combine(pass_metrics, EXACT_COUNTS)
-    metrics["trace.overhead_frac"] = _overhead(untraced_s, traced_s)
-    return _complete(metrics), EXACT_COUNTS, outcome
+    exact = SERVICE_EXACT_COUNTS if isinstance(plain, workloads.ServiceRunner) else EXACT_COUNTS
+    if not traced:
+        return {}, exact, outcome, plain
+    try:
+        metrics = combine(per_pass, exact)
+    except CountDrift as drift:
+        outcome.invalid.append(str(drift))
+        return {}, exact, outcome, plain
+    metrics.update(plain.setup_layers)
+    metrics["trace.overhead_frac"] = (
+        statistics.median(_mean_latency(p) for p in traced)
+        / statistics.median(_mean_latency(p) for p in untraced)
+        - 1.0
+    )
+    return {name: metrics.get(name, 0) for name in PER_LAYER_UNITS}, exact, outcome, plain
 
 
-def baseline_counts(inputs: Inputs) -> Dict[str, int]:
-    """DC wave counts of one traced 256-lane pass over ``inputs``."""
-    ledger = Ledger(inputs.config)
-    engine = BatchAlignmentEngine(inputs.config, max_lanes=workloads.LANES)
+def baseline_counts() -> Dict[str, int]:
+    """DC wave counts of one traced 256-lane pass over the baseline input."""
+    config = GenASMConfig()
+    data = build_paper_dataset(read_count=BASELINE_READS, read_length=500, seed=BASELINE_SEED)
+    ledger = Ledger(config)
+    engine = BatchAlignmentEngine(config, max_lanes=workloads.LANES)
     records: List[list] = []
     with ledger.recording(records):
-        engine.align_pairs(inputs.pairs)
+        engine.align_pairs(data.pairs)
     metrics = layer_metrics(records[0])
     return {name: metrics[name] for name in BASELINE_COUNTS}
-
-
-# --------------------------------------------------------------------------- #
-def trace_fastq(inputs: Inputs, seconds: float, ledger: Ledger, out_dir: Path):
-    index_s: List[float] = []
-    pipeline, setups = workloads.setup_fastq(inputs, on_index=index_s.append)
-    traced_pipeline = StreamingPipeline(
-        pipeline.mapper, inputs.config, wave_size=workloads.LANES, tracer=ledger.tracer
-    )
-    outcome = Outcome(setups)
-    sam_path = out_dir / f"fastq_to_sam-{inputs.seed}.traced.sam"
-    untraced_s: List[float] = []
-    traced_s: List[float] = []
-    pass_records: List[list] = []
-    pass_metrics: List[Dict[str, float]] = []
-
-    def check(alignments) -> str:
-        text = sam_path.read_text(encoding="ascii")
-        outcome.attempted += len(inputs.pairs)
-        wrong = workloads.mismatches(alignments, inputs.expected)
-        wrong += workloads.sam_mismatches(text, inputs.expected_sam)
-        outcome.failed += min(len(inputs.pairs), wrong)
-        return text
-
-    def untraced():
-        start = clock()
-        alignments = workloads.fastq_pass(pipeline, inputs, sam_path, [])
-        untraced_s.append(clock() - start)
-        check(alignments)
-
-    def traced():
-        start = clock()
-        with ledger.recording(pass_records):
-            alignments = workloads.fastq_pass(
-                traced_pipeline, inputs, sam_path, [], tracer=ledger.tracer
-            )
-        traced_s.append(clock() - start)
-        text = check(alignments)
-        stats = traced_pipeline.stats
-        metrics = layer_metrics(pass_records[-1])
-        metrics.update(alignment_metrics(alignments))
-        metrics.update(
-            {
-                "pipeline.stage.map_s": stats.stage_seconds["map"],
-                "pipeline.stage.align_s": stats.stage_seconds["align"],
-                "pipeline.waves": stats.waves,
-                "pipeline.wave_fill": stats.wave_fill_efficiency,
-                "pipeline.max_pending": stats.max_pending,
-                "pipeline.max_reorder": stats.max_reorder_buffer,
-                "io.records": sum(1 for line in text.splitlines() if not line.startswith("@")),
-                "io.sam_bytes": len(text.encode("ascii")),
-            }
-        )
-        pass_metrics.append(metrics)
-
-    workloads.run_passes(seconds, lambda: (untraced(), traced()), minimum=2)
-    metrics = combine(pass_metrics, EXACT_COUNTS)
-    metrics["mapping.index_s"] = statistics.median(index_s)
-    metrics["trace.overhead_frac"] = _overhead(untraced_s, traced_s)
-    return _complete(metrics), EXACT_COUNTS, outcome
-
-
-# --------------------------------------------------------------------------- #
-def trace_service(inputs: Inputs, seconds: float, ledger: Ledger, rate: float):
-    """First half untraced, second half traced, each its own service."""
-    service, setups = workloads.setup_service(inputs)
-    outcome = Outcome(setups)
-    try:
-        plain = workloads.open_loop(service, inputs, rate, seconds / 2)
-    finally:
-        service.close()
-    workloads.check_open_loop(plain, inputs, outcome)
-    untraced_latency = statistics.mean(outcome.latencies)
-
-    traced_service = AlignmentService(inputs.config, tracer=ledger.tracer)
-    traced_service.submit(
-        workloads.warmup_pairs(inputs.config), tenant="warmup"
-    ).result(timeout=60)
-    pass_records: List[list] = []
-    try:
-        with ledger.recording(pass_records):
-            loop = workloads.open_loop(traced_service, inputs, rate, seconds / 2)
-    finally:
-        traced_service.close()
-    traced_outcome = Outcome([])
-    workloads.check_open_loop(loop, inputs, traced_outcome)
-    outcome.attempted += traced_outcome.attempted
-    outcome.failed += traced_outcome.failed
-
-    stats = traced_service.stats
-    waves = stats.pipeline.waves
-    metrics = layer_metrics(pass_records[0])
-    metrics.update(
-        alignment_metrics(
-            [
-                a
-                for f in loop.futures
-                if f.done() and f.exception() is None
-                for a in f.result()
-            ]
-        )
-    )
-    metrics.update(
-        {
-            "service.waves": waves,
-            "service.lanes_per_wave": stats.pipeline.lanes_total / waves if waves else 0.0,
-            "service.flushes.timeout": stats.pipeline.flushes["timeout"],
-            "service.flushes.idle": stats.pipeline.flushes["idle"],
-            "service.flushes.size": stats.pipeline.flushes["size"],
-            "service.engine_busy_frac": metrics["batch.engine.busy_s"]
-            / (loop.finished_at - loop.due[0]),
-            "service.inflight_hw": max(stats.max_inflight.values(), default=0),
-            "service.gen_lag_ms": statistics.median(loop.lag) * 1e3,
-            "service.gen_lag_max_ms": max(loop.lag) * 1e3,
-            "trace.overhead_frac": statistics.mean(traced_outcome.latencies)
-            / untraced_latency
-            - 1.0,
-        }
-    )
-    return _complete(metrics), SERVICE_EXACT_COUNTS, outcome

@@ -1,4 +1,4 @@
-"""Workload inputs, set-up and the untraced measured loop of each workload.
+"""Workload inputs, set-up and the measured pass of each workload.
 
 Every workload's inputs are *mapped candidates*: reads simulated from a
 repeat-bearing synthetic genome, mapped with the all-chains minimizer
@@ -42,23 +42,32 @@ clock = time.perf_counter
 
 #: Lanes per offline engine call and per streaming wave.
 LANES = 256
-#: Set-up is repeated this many times per run; ``setup_s`` is the median.
+#: Set-up is repeated this many times per run, each in a fresh process;
+#: ``setup_s`` is the median.
 SETUP_REPEATS = 5
 #: Pairs of the warm-up pass that ends every set-up.
 WARMUP_PAIRS = 8
+#: Reads of long_pacbio.  A lockstep batch runs as long as its slowest
+#: lane, and a few retry-heavy pairs decide how slow that is: at 96 reads
+#: (≈117 pairs) whether a seed drew them moved the best-pass throughput
+#: by 0.18 (inter-quartile share of the median) across seeds 31–40, and at
+#: 192 (≈235 pairs, still one 256-lane batch) every seed has them: 0.026.
+LONG_READS = 192
 #: Candidate pairs of fastq_to_sam: between 384 and 511, the pipeline's
 #: defaults (256-lane waves, tails under 128 merged, 512 pending at most)
-#: always cut two waves, 256 lanes and the rest.
-FASTQ_PAIRS = 400
+#: always cut two waves, 256 lanes and the rest.  Near the top of that band
+#: the second wave is nearly full too, so, as for LONG_READS, every seed
+#: draws the slow lanes: best-pass throughput across seeds 31–40 spread by
+#: 0.226 at 400 candidates and by 0.065 at 490.
+FASTQ_PAIRS = 490
 #: Open-loop clients of the service workload, served round-robin.
 SERVICE_TENANTS = 4
-#: Pass-time percentile that throughput is quoted at.  On a shared host
-#: the CPU runs at one of two speeds (about 1.8x apart) for seconds to tens
-#: of seconds at a time, so a run's *median* pass lands in whichever speed
-#: dominated it: over eight runs of one seed its inter-quartile spread was
-#: 0.36 of its median, against 0.04 for the slowest pass, because nearly
-#: every run spends some time at the slow speed.  Medians are still printed
-#: in the run's detail line.
+#: Percentile of a run's pass times that throughput is quoted at.  On a shared host the CPU runs at one of two speeds (about
+#: 1.8x apart) for seconds to tens of seconds at a time, so a run's
+#: *median* pass lands in whichever speed dominated it: over eight runs of
+#: one seed its inter-quartile spread was 0.36 of its median, against 0.04
+#: for the slowest pass, because nearly every run spends some time at the
+#: slow speed.  Medians are still printed in the run's detail line.
 SUSTAINED_PERCENTILE = 90
 
 Expected = Tuple[str, int]
@@ -137,7 +146,7 @@ def generate(workload: str, seed: int, out_dir: str, reference: bool = True) -> 
     """Build ``workload``'s inputs from ``seed`` (and its serial answers)."""
     if workload == "long_pacbio":
         config = GenASMConfig()
-        data = build_paper_dataset(read_count=96, read_length=500, seed=seed)
+        data = build_paper_dataset(read_count=LONG_READS, read_length=500, seed=seed)
         pairs, reads = data.pairs, len(data.reads)
     elif workload == "short_illumina":
         config = GenASMConfig.short_read(150)
@@ -242,12 +251,6 @@ def percentile(samples, q: float) -> Tuple[float, int]:
     return ordered[rank - 1], len(ordered) - rank
 
 
-def sustained_rate(bases: int, pass_seconds: List[float]) -> float:
-    """Bases per second at the :data:`SUSTAINED_PERCENTILE` pass time."""
-    slow, _ = percentile(pass_seconds, SUSTAINED_PERCENTILE)
-    return bases / slow
-
-
 def mismatches(alignments, expected: List[Expected]) -> int:
     """Pairs whose CIGAR or edit distance differs from the serial answer."""
     if len(alignments) != len(expected):
@@ -265,171 +268,192 @@ def sam_mismatches(text: str, expected: str) -> int:
     return sum(1 for a, b in zip(got, want) if a != b) + abs(len(got) - len(want))
 
 
-@dataclass
-class Outcome:
-    """What one untraced run measured and checked."""
-
-    setup_seconds: List[float]
-    #: wall seconds per measured pass (offline / streaming workloads)
-    pass_seconds: List[float] = field(default_factory=list)
-    #: per-sample request latency in seconds (``inf`` for a failed request)
-    latencies: List[float] = field(default_factory=list)
-    bases_per_second: float = 0.0
-    attempted: int = 0
-    failed: int = 0
-    #: reasons the run is invalid even though every output was correct
-    invalid: List[str] = field(default_factory=list)
-    details: Dict[str, object] = field(default_factory=dict)
-
-
-def _timed_setups(build: Callable[[], object], close: Callable[[object], None]):
-    """Run ``build`` :data:`SETUP_REPEATS` times; keep the last instance."""
-    seconds, instance = [], None
-    for _ in range(SETUP_REPEATS):
-        if instance is not None:
-            close(instance)
-        start = clock()
-        instance = build()
-        seconds.append(clock() - start)
-    return instance, seconds
-
-
-def run_passes(seconds: float, run_pass: Callable[[], None], minimum: int) -> List[float]:
-    """Run whole passes for about ``seconds``; returns each pass's wall time.
+def run_passes(seconds: float, run_pass: Callable[[], None], minimum: int) -> None:
+    """Run whole passes for about ``seconds``.
 
     A pass is started only while it is expected to end within the window
-    (estimated from the median so far), but at least ``minimum`` run.
+    (estimated from the median pass so far), but at least ``minimum`` run.
     """
     times: List[float] = []
     start = clock()
     while True:
         elapsed = clock() - start
         if len(times) >= minimum and elapsed + statistics.median(times) > seconds:
-            return times
+            return
         begin = clock()
         run_pass()
         times.append(clock() - begin)
 
 
-def _report_exception(where: str) -> None:
-    print(f"perfbench: exception in {where}:", file=sys.stderr)
-    traceback.print_exc()
+@dataclass
+class Pass:
+    """One measured pass of a workload, already checked against serial."""
+
+    seconds: float
+    #: candidate pattern bases the pass aligned
+    bases: int
+    #: latency of each unit (pair or request); ``inf`` for a failed unit
+    latencies: List[float]
+    #: units whose output differed from serial or never arrived
+    failed: int
+    alignments: list
+    #: per-layer figures read from the program's public stats
+    layers: Dict[str, float] = field(default_factory=dict)
+    #: reasons the pass is invalid even though every output was correct
+    invalid: List[str] = field(default_factory=list)
+    details: Dict[str, object] = field(default_factory=dict)
+
+
+@dataclass
+class Outcome:
+    """The tally of every pass of one run, traced or not."""
+
+    attempted: int = 0
+    failed: int = 0
+    invalid: List[str] = field(default_factory=list)
+    passes: List[Pass] = field(default_factory=list)
+
+
+class PassFailed(RuntimeError):
+    """The program raised during a pass; its units are counted as failed."""
 
 
 # --------------------------------------------------------------------------- #
-# Offline engine workloads: long_pacbio, short_illumina
+# Runners: one workload's set-up instance and its measured pass
 # --------------------------------------------------------------------------- #
-def setup_offline(inputs: Inputs):
-    warm = warmup_pairs(inputs.config)
+class Runner:
+    """Build a workload's engine, pipeline or service; run checked passes.
 
-    def build():
-        engine = BatchAlignmentEngine(inputs.config, max_lanes=LANES)
-        engine.align_pairs(warm)
-        return engine
+    Construction is the workload's set-up, ending with one warm-up pass
+    over :func:`warmup_pairs`.  :meth:`measure` runs one pass — inside a
+    :class:`ledger.Ledger` recording when one is given, so traced and
+    untraced passes share this code — and tallies it into an
+    :class:`Outcome`.
+    """
 
-    return _timed_setups(build, lambda engine: None)
+    #: the public call a pass goes through, for error reports
+    entry = ""
+    #: fewest passes a run makes, however long they take
+    minimum_passes = 3
+    #: per-layer figures of the set-up (``mapping.index_s``)
+    setup_layers: Dict[str, float] = {}
 
+    def __init__(self, inputs: Inputs) -> None:
+        self.inputs = inputs
 
-def run_offline(inputs: Inputs, seconds: float) -> Outcome:
-    engine, setups = setup_offline(inputs)
-    outcome = Outcome(setups)
-    pairs = inputs.pairs
+    @property
+    def units(self) -> int:
+        """Units one pass attempts: pairs, or requests for the service."""
+        return len(self.inputs.pairs)
 
-    def one_pass():
-        outcome.attempted += len(pairs)
+    @property
+    def count_scope(self) -> str:
+        """What a pass's exact counts depend on besides seed and program."""
+        return ""
+
+    def execute(self) -> Pass:
+        raise NotImplementedError
+
+    def close(self) -> None:
+        pass
+
+    def measure(self, outcome: Outcome, ledger=None, records=None) -> Pass:
+        outcome.attempted += self.units
         try:
-            alignments = engine.align_pairs(pairs)
-        except Exception:
-            _report_exception("BatchAlignmentEngine.align_pairs")
-            outcome.failed += len(pairs)
-            raise
-        outcome.failed += mismatches(alignments, inputs.expected)
-
-    try:
-        outcome.pass_seconds = run_passes(seconds, one_pass, minimum=3)
-    except Exception:
-        return outcome
-    # Every pair of a batch call resolves when the call returns.
-    outcome.latencies = [t for t in outcome.pass_seconds for _ in pairs]
-    outcome.bases_per_second = sustained_rate(inputs.pattern_bases, outcome.pass_seconds)
-    return outcome
+            if ledger is None:
+                done = self.execute()
+            else:
+                with ledger.recording(records):
+                    done = self.execute()
+        except Exception as error:
+            print(f"perfbench: exception in {self.entry}:", file=sys.stderr)
+            traceback.print_exc()
+            outcome.failed += self.units
+            raise PassFailed(f"{self.entry} raised {error!r}") from error
+        outcome.failed += done.failed
+        outcome.invalid.extend(done.invalid)
+        return done
 
 
-# --------------------------------------------------------------------------- #
-# fastq_to_sam: FASTQ -> map -> waves -> align -> SAM
-# --------------------------------------------------------------------------- #
-def setup_fastq(inputs: Inputs, on_index=None):
-    warm = warmup_pairs(inputs.config)
+class OfflineRunner(Runner):
+    """long_pacbio, short_illumina: one ``align_pairs`` call per pass."""
 
-    def build():
+    entry = "BatchAlignmentEngine.align_pairs"
+
+    def __init__(self, inputs: Inputs, tracer=NULL_TRACER, **_) -> None:
+        super().__init__(inputs)
+        self.engine = BatchAlignmentEngine(inputs.config, max_lanes=LANES)
+        self.engine.align_pairs(warmup_pairs(inputs.config))
+
+    def execute(self) -> Pass:
+        pairs = self.inputs.pairs
+        start = clock()
+        alignments = self.engine.align_pairs(pairs)
+        seconds = clock() - start
+        wrong = mismatches(alignments, self.inputs.expected)
+        # Every pair of a batch call resolves when the call returns.
+        return Pass(
+            seconds, self.inputs.pattern_bases, [seconds] * len(pairs),
+            min(len(pairs), wrong), alignments,
+        )
+
+
+class FastqRunner(Runner):
+    """fastq_to_sam: FASTQ file -> map -> waves -> align -> SAM file."""
+
+    entry = "StreamingPipeline.run"
+
+    def __init__(self, inputs: Inputs, tracer=NULL_TRACER, out_dir: Path = Path("."), **_):
+        super().__init__(inputs)
+        self.tracer = tracer
         start = clock()
         mapper = Mapper(inputs.genome, all_chains=True)
-        if on_index is not None:
-            on_index(clock() - start)
-        pipeline = StreamingPipeline(mapper, inputs.config, wave_size=LANES)
-        pipeline.align_pairs(warm)
-        return pipeline
+        self.setup_layers = {"mapping.index_s": clock() - start}
+        self.pipeline = StreamingPipeline(mapper, inputs.config, wave_size=LANES, tracer=tracer)
+        self.pipeline.align_pairs(warmup_pairs(inputs.config))
+        suffix = "traced.sam" if tracer.enabled else "sam"
+        self.sam_path = Path(out_dir) / f"fastq_to_sam-{inputs.seed}.{suffix}"
 
-    return _timed_setups(build, lambda pipeline: None)
-
-
-def fastq_pass(
-    pipeline, inputs: Inputs, sam_path: Path, stamps: List[float], tracer=NULL_TRACER
-) -> list:
-    """FASTQ file in, SAM file out; appends each result's emission time."""
-    with tracer.span("ingest.qualities"):
-        qualities = {name: quality for name, _, quality in iter_fastq(inputs.fastq_path)}
-    results = []
-    with open(sam_path, "w", encoding="ascii") as handle:
-        sink = SamSink(handle, inputs.genome, qualities=qualities)
-        for mapped in pipeline.run(inputs.fastq_path, sink=sink):
-            stamps.append(clock())
-            results.append(mapped.alignment)
-    return results
-
-
-def run_fastq(inputs: Inputs, seconds: float, out_dir: Path) -> Outcome:
-    pipeline, setups = setup_fastq(inputs)
-    outcome = Outcome(setups)
-    sam_path = out_dir / f"fastq_to_sam-{inputs.seed}.sam"
-
-    def one_pass():
-        outcome.attempted += len(inputs.pairs)
+    def execute(self) -> Pass:
+        inputs, tracer = self.inputs, self.tracer
         stamps: List[float] = []
+        alignments = []
         start = clock()
-        try:
-            alignments = fastq_pass(pipeline, inputs, sam_path, stamps)
-        except Exception:
-            _report_exception("StreamingPipeline.run")
-            outcome.failed += len(inputs.pairs)
-            raise
-        outcome.latencies.extend(stamp - start for stamp in stamps)
-        wrong = mismatches(alignments, inputs.expected)
-        wrong += sam_mismatches(sam_path.read_text(encoding="ascii"), inputs.expected_sam)
-        outcome.failed += min(len(inputs.pairs), wrong)
+        with tracer.span("ingest.qualities"):
+            qualities = {name: quality for name, _, quality in iter_fastq(inputs.fastq_path)}
+        with open(self.sam_path, "w", encoding="ascii") as handle:
+            sink = SamSink(handle, inputs.genome, qualities=qualities)
+            for mapped in self.pipeline.run(inputs.fastq_path, sink=sink):
+                stamps.append(clock())
+                alignments.append(mapped.alignment)
+        seconds = clock() - start
 
-    try:
-        outcome.pass_seconds = run_passes(seconds, one_pass, minimum=3)
-    except Exception:
-        return outcome
-    outcome.bases_per_second = sustained_rate(inputs.pattern_bases, outcome.pass_seconds)
-    return outcome
+        text = self.sam_path.read_text(encoding="ascii")
+        units = len(inputs.pairs)
+        wrong = mismatches(alignments, inputs.expected)
+        wrong += sam_mismatches(text, inputs.expected_sam)
+        # A pair is resolved once the pipeline yields it (its record written).
+        latencies = [stamp - start for stamp in stamps[:units]]
+        latencies += [math.inf] * (units - len(latencies))
+        stats = self.pipeline.stats
+        layers = {
+            "pipeline.stage.map_s": stats.stage_seconds["map"],
+            "pipeline.stage.align_s": stats.stage_seconds["align"],
+            "pipeline.waves": stats.waves,
+            "pipeline.wave_fill": stats.wave_fill_efficiency,
+            "pipeline.max_pending": stats.max_pending,
+            "pipeline.max_reorder": stats.max_reorder_buffer,
+            "io.records": sum(1 for line in text.splitlines() if not line.startswith("@")),
+            "io.sam_bytes": len(text.encode("ascii")),
+        }
+        return Pass(
+            seconds, inputs.pattern_bases, latencies, min(units, wrong), alignments, layers
+        )
 
 
 # --------------------------------------------------------------------------- #
 # service_open: open-loop requests against AlignmentService
 # --------------------------------------------------------------------------- #
-def setup_service(inputs: Inputs):
-    warm = warmup_pairs(inputs.config)
-
-    def build():
-        service = AlignmentService(inputs.config)
-        service.submit(warm, tenant="warmup").result(timeout=60)
-        return service
-
-    return _timed_setups(build, lambda service: service.close())
-
-
 @dataclass
 class OpenLoop:
     """Schedule and observations of one open-loop send."""
@@ -443,14 +467,13 @@ class OpenLoop:
     finished_at: float = 0.0
 
 
-def open_loop(service, inputs: Inputs, rate: float, seconds: float) -> OpenLoop:
-    """Send ``rate * seconds`` requests on schedule, regardless of replies.
+def open_loop(service, inputs: Inputs, rate: float, count: int) -> OpenLoop:
+    """Send ``count`` requests on a ``rate``-per-second schedule, regardless of replies.
 
     Requests cycle through the read pool, round-robin across tenants.  Each
     request's completion time is stamped by a done-callback, which runs on
     the service's dispatcher thread as the future resolves.
     """
-    count = int(rate * seconds)
     loop = OpenLoop([], [], [None] * count, [], [])
     completed = []  # list.append is atomic; len() gives the completed count
 
@@ -487,60 +510,112 @@ def backlog_growth(backlog: List[Tuple[float, int]]) -> float:
     return last - first
 
 
-def check_open_loop(loop: OpenLoop, inputs: Inputs, outcome: Outcome) -> None:
-    """Check every request against serial; fill latencies (``inf`` if failed)."""
-    for index, future in enumerate(loop.futures):
-        request = inputs.requests[index % len(inputs.requests)]
-        outcome.attempted += 1
-        ok = False
-        if future.done() and loop.done[index] is not None:
-            if future.exception() is None:
-                want = [inputs.expected[i] for i in request]
-                ok = mismatches(future.result(), want) == 0
+class ServiceRunner(Runner):
+    """service_open: one pass is ``rate * seconds`` open-loop requests."""
+
+    entry = "AlignmentService.submit"
+    minimum_passes = 1
+
+    def __init__(
+        self, inputs: Inputs, tracer=NULL_TRACER, rate: float = 1.0, seconds: float = 1.0, **_
+    ) -> None:
+        super().__init__(inputs)
+        self.rate = rate
+        self.count = int(rate * seconds)
+        self.service = AlignmentService(inputs.config, tracer=tracer)
+        self.service.submit(warmup_pairs(inputs.config), tenant="warmup").result(timeout=60)
+
+    @property
+    def units(self) -> int:
+        return self.count
+
+    @property
+    def count_scope(self) -> str:
+        # The core.* counts sum over the requests sent, which cycle the pool.
+        return f"{self.count} requests"
+
+    def close(self) -> None:
+        self.service.close()
+
+    def execute(self) -> Pass:
+        inputs, rate = self.inputs, self.rate
+        loop = open_loop(self.service, inputs, rate, self.count)
+        latencies, alignments, failed, bases = [], [], 0, 0
+        for index, future in enumerate(loop.futures):
+            request = inputs.requests[index % len(inputs.requests)]
+            bases += sum(len(inputs.pairs[i][0]) for i in request)
+            ok = False
+            if future.done() and loop.done[index] is not None:
+                if future.exception() is None:
+                    result = future.result()
+                    ok = mismatches(result, [inputs.expected[i] for i in request]) == 0
+                    alignments.extend(result)
+                else:
+                    print(
+                        f"perfbench: request {index} raised {future.exception()!r}",
+                        file=sys.stderr,
+                    )
+            if ok:
+                latencies.append(loop.done[index] - loop.due[index])
             else:
-                print(
-                    f"perfbench: request {index} raised {future.exception()!r}",
-                    file=sys.stderr,
-                )
-        if ok:
-            outcome.latencies.append(loop.done[index] - loop.due[index])
-        else:
-            outcome.failed += 1
-            outcome.latencies.append(float("inf"))
+                failed += 1
+                latencies.append(math.inf)
+
+        done = Pass(loop.finished_at - loop.due[0], bases, latencies, failed, alignments)
+        p50, _ = percentile(latencies, 50)
+        lag_p50 = statistics.median(loop.lag)
+        growth = backlog_growth(loop.backlog)
+        limit = max(10.0, 0.25 * rate)
+        if growth > limit:
+            done.invalid.append(
+                f"backlog grew by {growth:.1f} requests across the run (limit {limit:.1f}): "
+                f"rate {rate}/s is beyond capacity"
+            )
+        if lag_p50 >= 0.5 * p50:
+            done.invalid.append(
+                f"generator median lateness {lag_p50 * 1e3:.2f} ms rivals p50 {p50 * 1e3:.2f} ms"
+            )
+        done.details.update(
+            rate_per_s=rate,
+            requests=self.count,
+            gen_lag_p50_ms=lag_p50 * 1e3,
+            gen_lag_max_ms=max(loop.lag) * 1e3,
+            backlog_growth=growth,
+        )
+        stats = self.service.stats
+        waves = stats.pipeline.waves
+        done.layers = {
+            "service.waves": waves,
+            "service.lanes_per_wave": stats.pipeline.lanes_total / waves if waves else 0.0,
+            "service.flushes.timeout": stats.pipeline.flushes["timeout"],
+            "service.flushes.idle": stats.pipeline.flushes["idle"],
+            "service.flushes.size": stats.pipeline.flushes["size"],
+            "service.inflight_hw": max(stats.max_inflight.values(), default=0),
+            "service.gen_lag_ms": lag_p50 * 1e3,
+            "service.gen_lag_max_ms": max(loop.lag) * 1e3,
+        }
+        return done
 
 
-def run_service(inputs: Inputs, seconds: float, rate: float) -> Outcome:
-    service, setups = setup_service(inputs)
-    outcome = Outcome(setups)
+RUNNERS: Dict[str, Callable[..., Runner]] = {
+    "long_pacbio": OfflineRunner,
+    "short_illumina": OfflineRunner,
+    "fastq_to_sam": FastqRunner,
+    "service_open": ServiceRunner,
+}
+
+
+def run_untraced(runner: Runner, seconds: float) -> Outcome:
+    """Measured passes of ``runner`` for about ``seconds``."""
+    outcome = Outcome()
+
+    def one_pass():
+        done = runner.measure(outcome)
+        done.alignments = []  # checked; kept, they would grow the measured RSS pass by pass
+        outcome.passes.append(done)
+
     try:
-        loop = open_loop(service, inputs, rate, seconds)
-    finally:
-        service.close()
-    check_open_loop(loop, inputs, outcome)
-    bases = sum(
-        len(inputs.pairs[i][0])
-        for index in range(len(loop.futures))
-        for i in inputs.requests[index % len(inputs.requests)]
-    )
-    outcome.bases_per_second = bases / (loop.finished_at - loop.due[0])
-    p50, _ = percentile(outcome.latencies, 50)
-    lag_p50 = statistics.median(loop.lag)
-    growth = backlog_growth(loop.backlog)
-    limit = max(10.0, 0.25 * rate)
-    if growth > limit:
-        outcome.invalid.append(
-            f"backlog grew by {growth:.1f} requests across the run (limit {limit:.1f}): "
-            f"rate {rate}/s is beyond capacity"
-        )
-    if lag_p50 >= 0.5 * p50:
-        outcome.invalid.append(
-            f"generator median lateness {lag_p50 * 1e3:.2f} ms rivals p50 {p50 * 1e3:.2f} ms"
-        )
-    outcome.details.update(
-        rate_per_s=rate,
-        requests=len(loop.futures),
-        gen_lag_p50_ms=lag_p50 * 1e3,
-        gen_lag_max_ms=max(loop.lag) * 1e3,
-        backlog_growth=growth,
-    )
+        run_passes(seconds, one_pass, runner.minimum_passes)
+    except PassFailed:
+        pass  # counted as failed units by Runner.measure
     return outcome
