@@ -9,8 +9,10 @@ byte-identical to the scalar path in :mod:`repro.core`.
 
 * :class:`BatchAlignmentEngine` / :func:`align_pairs_vectorized` — batch
   aligner producing :class:`repro.core.alignment.Alignment` objects.
-* :func:`run_dc_wave` / :func:`run_dc_wave_state` / :class:`SoAWave` /
-  :class:`LaneJob` — the lockstep GenASM-DC kernel and its lane layout.
+* :func:`run_dc_wave_state` / :class:`SoAWave` / :class:`LaneJob` — the
+  lockstep GenASM-DC kernel and its lane layout.  The returned
+  :class:`WaveDCState` keeps the rows in SoA layout;
+  :meth:`WaveDCState.table` adapts one lane to the scalar ``DCTable``.
 * :func:`build_wave_decisions` / :func:`lockstep_traceback` — the lockstep
   GenASM-TB kernel (see below).
 * :func:`lockstep_stats` — lockstep (SIMT warp divergence) efficiency
@@ -52,7 +54,6 @@ from repro.batch.engine import (
     BatchAlignmentEngine,
     WaveDCState,
     align_pairs_vectorized,
-    run_dc_wave,
     run_dc_wave_state,
 )
 from repro.batch.soa import LaneJob, SoAWave, lane_words, lockstep_stats
@@ -67,7 +68,6 @@ __all__ = [
     "BatchAlignmentEngine",
     "WaveDCState",
     "align_pairs_vectorized",
-    "run_dc_wave",
     "run_dc_wave_state",
     "SCHEDULING_POLICIES",
     "LaneJob",

@@ -35,11 +35,12 @@ Structure
   the stored rows in SoA layout (what the lockstep traceback consumes).
   The recurrence carries the shifted bit across lane words, so windows
   wider than 64 characters (short-read configs) vectorize too.
-* :func:`run_dc_wave` — compatibility wrapper materialising one scalar
-  :class:`~repro.core.genasm_dc.DCTable` per lane from the wave state.
+  :meth:`WaveDCState.table` adapts one lane back to the scalar
+  :class:`~repro.core.genasm_dc.DCTable` format for differential checks.
 * :class:`BatchAlignmentEngine` — the windowed aligner: all pairs advance
   their current window together (one wave per windowing step), lanes whose
-  error budget fails are retried in doubling sub-waves, and finished pairs
+  error budget fails are retried in doubling sub-waves, every solved lane
+  is traced back with the lockstep decision-word walk, and finished pairs
   drop out of subsequent waves.  Mixed-length batches are scheduled into
   waves by expected lockstep work — window count × words per lane (see
   :meth:`BatchAlignmentEngine.schedule`) — so chunked lanes run in
@@ -84,11 +85,9 @@ from repro.core.metrics import AccessCounter, MemoryFootprint
 __all__ = [
     "BatchAlignmentEngine",
     "WaveDCState",
-    "run_dc_wave",
     "run_dc_wave_state",
     "align_pairs_vectorized",
     "SCHEDULING_POLICIES",
-    "DEFAULT_SCALAR_TRACEBACK_THRESHOLD",
 ]
 
 #: Wave-scheduling policies accepted by :class:`BatchAlignmentEngine`.
@@ -98,9 +97,8 @@ _U1 = np.uint64(1)
 _U0 = np.uint64(0)
 _U63 = np.uint64(MAX_LANE_BITS - 1)
 
-#: Packed op code per CigarOp (see repro.batch.traceback.OPS_BY_CODE).
-_CODE_BY_OP = {op: code for code, op in enumerate(OPS_BY_CODE)}
-_INSERTION_CODE = _CODE_BY_OP[CigarOp.INSERTION]
+#: Packed op code of an insertion (see repro.batch.traceback.OPS_BY_CODE).
+_INSERTION_CODE = list(OPS_BY_CODE).index(CigarOp.INSERTION)
 
 #: ``_CLEAR_LOW[c]`` clears the ``c`` low bits (``c`` in 0..64); used to
 #: build row 0 (``(ones << d) & ones``) without undefined 64-bit shifts.
@@ -113,13 +111,6 @@ _CLEAR_LOW = np.array(
 # dedupe set, now owned by repro.batch.kernels so the kernel seam shares
 # it; it is re-exported here under its historical name because tests and
 # services clear it to re-arm warnings.
-
-#: Default lane count below which the scalar per-lane traceback beats the
-#: lockstep walk (see BatchAlignmentEngine.scalar_traceback_threshold).
-#: Measured crossover sits between 16 and 32 lanes for 150-600 bp windows
-#: (at 8-16 lanes the scalar walk is up to ~1.3x faster, at 32 the
-#: lockstep walk is ~1.15-1.2x faster), so the default splits that range.
-DEFAULT_SCALAR_TRACEBACK_THRESHOLD = 24
 
 
 def _shl1(value: np.ndarray, ones: np.ndarray) -> np.ndarray:
@@ -149,7 +140,7 @@ class WaveDCState:
     :meth:`repro.batch.soa.SoAWave.zero_view_mask` imposes the same
     semantics on the decision planes.  Per-lane DP accounting has already
     been charged to each :class:`~repro.batch.soa.LaneJob` counter when
-    this object exists; :meth:`tables` only reshapes state.
+    this object exists; :meth:`table` only reshapes state.
     """
 
     wave: SoAWave
@@ -189,12 +180,12 @@ class WaveDCState:
     def table(self, lane: int) -> DCTable:
         """Materialise the scalar :class:`DCTable` of one lane.
 
-        Used by the compat wrapper (:meth:`tables`) and by the engine's
-        small-wave scalar-traceback path, which trades the lockstep walk's
-        per-step NumPy dispatch overhead for a per-lane Python loop when
-        few lanes need tracing.  The full-width wave rows are band-packed
-        and placeholder-substituted here, reproducing the scalar storage
-        exactly (``tests/test_batch_engine.py`` pins this state for state).
+        The format adapter between the wave state and the scalar path: the
+        full-width wave rows are band-packed and placeholder-substituted
+        here, reproducing the scalar storage exactly, so tests can compare
+        a wave lane with :func:`repro.core.genasm_dc.genasm_dc` state for
+        state and evaluate the scalar traceback predicates over it.  The
+        engine itself never calls it.
         """
         wave = self.wave
         job = wave.jobs[lane]
@@ -268,31 +259,6 @@ class WaveDCState:
         table._band_width = None  # lazily derived; identical to scalar
         return table
 
-    def tables(self) -> List[DCTable]:
-        """Materialise one scalar :class:`DCTable` per lane (compat path)."""
-        return [self.table(lane) for lane in range(self.wave.lanes)]
-
-
-def run_dc_wave(
-    wave: SoAWave,
-    *,
-    entry_compression: bool = True,
-    early_termination: bool = True,
-) -> List[DCTable]:
-    """Run GenASM-DC over every lane of ``wave`` in lockstep.
-
-    Returns one :class:`DCTable` per lane with exactly the stored state,
-    ``min_errors``, ``rows_computed`` and access accounting the scalar
-    :func:`repro.core.genasm_dc.genasm_dc` produces for the same inputs.
-    Lanes terminate independently (budget exhausted, or solution found when
-    early termination is on); the wave stops once every lane is done.
-    """
-    return run_dc_wave_state(
-        wave,
-        entry_compression=entry_compression,
-        early_termination=early_termination,
-    ).tables()
-
 
 def run_dc_wave_state(
     wave: SoAWave,
@@ -305,8 +271,8 @@ def run_dc_wave_state(
 
     This is the batch engine's hot path: the returned
     :class:`WaveDCState` feeds the lockstep traceback directly (via
-    :func:`repro.batch.traceback.build_wave_decisions`), avoiding the
-    per-lane Python-list materialisation :func:`run_dc_wave` performs.
+    :func:`repro.batch.traceback.build_wave_decisions`), never
+    materialising per-lane Python lists.
     Lanes are ``wave.words`` ``uint64`` words wide; every shift in the
     recurrence carries bit 63 of word ``w`` into bit 0 of word ``w + 1``
     (:func:`_shl1`), and the solution test probes each lane's
@@ -437,8 +403,6 @@ class _PairState:
         "rows_total",
         "counter",
         "done",
-        "tb_lockstep",
-        "tb_scalar",
         "tb_walk_steps",
         "tb_steps_saved",
         "tb_match_runs",
@@ -458,25 +422,12 @@ class _PairState:
         self.rows_total = 0
         self.counter = AccessCounter()
         self.done = len(pattern) == 0
-        #: windows traced by each traceback path (metadata diagnostics)
-        self.tb_lockstep = 0
-        self.tb_scalar = 0
         #: traceback walk iterations vs emitted ops (skip-ahead savings),
         #: and the match runs the skip-ahead consumed whole
         self.tb_walk_steps = 0
         self.tb_steps_saved = 0
         self.tb_match_runs = 0
         self.tb_match_run_ops = 0
-
-    def traceback_path(self) -> str:
-        """Which traceback implementation(s) this pair's windows used."""
-        if self.tb_lockstep and self.tb_scalar:
-            return "mixed"
-        if self.tb_scalar:
-            return "scalar"
-        if self.tb_lockstep:
-            return "lockstep"
-        return "none"
 
     def cigar(self) -> Cigar:
         """Run-length encode the accumulated op codes into a CIGAR."""
@@ -502,11 +453,9 @@ class BatchAlignmentEngine:
     All pairs advance through their windows together: each iteration of the
     outer loop assembles one :class:`SoAWave` from every unfinished pair's
     current window, runs the lockstep DC kernel (with per-lane
-    budget-doubling retry sub-waves), traces the solved lanes back — with
-    the lockstep decision-word walk, or the scalar per-lane traceback when
-    few lanes need tracing (see ``scalar_traceback_threshold``) — and
-    advances the per-pair cursors exactly as
-    :func:`repro.core.windowing.align_windowed` would.
+    budget-doubling retry sub-waves), traces the solved lanes back with
+    the lockstep decision-word walk, and advances the per-pair cursors
+    exactly as :func:`repro.core.windowing.align_windowed` would.
 
     Parameters
     ----------
@@ -532,19 +481,6 @@ class BatchAlignmentEngine:
         ``"fifo"`` chunks in input order.  The policy never changes any
         alignment — only the lockstep efficiency of mixed-length batches
         (see :meth:`scheduling_stats`).
-    scalar_traceback_threshold:
-        Small-wave dispatch heuristic: when fewer than this many lanes of a
-        wave need tracing, the traceback runs the scalar per-lane walk
-        (:func:`repro.core.genasm_tb.genasm_traceback` over the wave's
-        stored state) instead of the lockstep decision-word walk, whose
-        per-step NumPy dispatch overhead dominates at small lane counts
-        (the small-batch regression noted in the ROADMAP; the measured
-        crossover sits between 16 and 32 lanes, see
-        :data:`DEFAULT_SCALAR_TRACEBACK_THRESHOLD`).  Both paths are
-        byte-identical — alignments *and* access accounting — so the
-        threshold only moves the crossover; every alignment records which
-        path(s) traced it in ``metadata["traceback_path"]``.  ``0`` forces
-        the lockstep walk always; a very large value forces the scalar walk.
     """
 
     def __init__(
@@ -554,7 +490,6 @@ class BatchAlignmentEngine:
         name: str = "genasm-vectorized",
         max_lanes: Optional[int] = None,
         scheduling: str = "sorted",
-        scalar_traceback_threshold: int = DEFAULT_SCALAR_TRACEBACK_THRESHOLD,
     ) -> None:
         self.config = config if config is not None else GenASMConfig()
         self.name = name
@@ -564,11 +499,8 @@ class BatchAlignmentEngine:
             raise ValueError(
                 f"scheduling must be one of {SCHEDULING_POLICIES}, got {scheduling!r}"
             )
-        if scalar_traceback_threshold < 0:
-            raise ValueError("scalar_traceback_threshold must be non-negative")
         self.max_lanes = max_lanes
         self.scheduling = scheduling
-        self.scalar_traceback_threshold = scalar_traceback_threshold
         #: resolved hot-loop backend ("numpy" or "numba"); an explicit
         #: "numba" request without Numba warns once and degrades here
         self.kernel_backend = resolve_kernel_backend(self.config.kernel_backend)
@@ -708,8 +640,11 @@ class BatchAlignmentEngine:
         (``align_batch`` instead snapshots the shared counter's running
         totals into per-alignment metadata, which this engine does not
         replicate), and always records ``vectorized`` / ``words_per_lane``
-        so a scalar fallback is observable.
+        so a scalar fallback is observable.  Sequences are upper-cased
+        first, exactly as :meth:`repro.core.aligner.GenASMAligner.align`
+        does.
         """
+        pairs = [(pattern.upper(), text.upper()) for pattern, text in pairs]
         if not self.vectorizable:
             reason = f"word_bits={self.config.word_bits}"
             if reason not in _FALLBACK_WARNED:
@@ -731,7 +666,6 @@ class BatchAlignmentEngine:
                 alignment.metadata["words_per_lane"] = self.words_per_lane
             return alignments
 
-        pairs = list(pairs)
         out: List[Optional[Alignment]] = [None] * len(pairs)
         order = self.schedule(pairs)
         step = self.max_lanes if self.max_lanes is not None else max(1, len(pairs))
@@ -800,7 +734,6 @@ class BatchAlignmentEngine:
                 "dp_accesses": s.counter.total_accesses,
                 "dp_bytes": s.counter.total_bytes,
                 "model_window_bytes": model_bytes,
-                "traceback_path": s.traceback_path(),
                 "vectorized": True,
                 "words_per_lane": self.words_per_lane,
                 "kernel_backend": self.kernel_backend,
@@ -881,26 +814,11 @@ class BatchAlignmentEngine:
 
             if solved.any():
                 start = time.perf_counter()
-                if int(solved.sum()) < self.effective_scalar_threshold():
-                    self._traceback_scalar_lanes(state, pending, solved)
-                else:
-                    self._traceback_lockstep_lanes(state, wave, pending, solved)
+                self._traceback_lanes(state, wave, pending, solved)
                 self.traceback_stats["seconds"] += time.perf_counter() - start
             pending = retries
 
-    def effective_scalar_threshold(self) -> int:
-        """Lane-count crossover of the scalar-vs-lockstep traceback dispatch.
-
-        With match-run skip-ahead active (``traceback_skip_ahead`` and an
-        M-first priority) each lockstep iteration covers a whole match run,
-        so the walk amortises its per-step NumPy dispatch over fewer,
-        fatter steps — the crossover roughly halves.
-        """
-        if self.config.traceback_skip_ahead and self.config.match_priority[0] == "M":
-            return self.scalar_traceback_threshold // 2
-        return self.scalar_traceback_threshold
-
-    def _traceback_lockstep_lanes(
+    def _traceback_lanes(
         self,
         state: WaveDCState,
         wave: SoAWave,
@@ -940,50 +858,9 @@ class BatchAlignmentEngine:
                 text_consumed=wt_len - tb.text_stop,
                 rows=int(state.rows_computed[lane]),
                 stored=int(stored[lane]),
-                path="lockstep",
                 walk_steps=tb.walk_steps,
                 match_runs=tb.match_runs,
                 match_run_ops=tb.match_run_ops,
-            )
-
-    def _traceback_scalar_lanes(
-        self,
-        state: WaveDCState,
-        pending: Sequence[Tuple["_PairState", str, str, int, int, int]],
-        solved: np.ndarray,
-    ) -> None:
-        """Trace solved lanes one by one with the scalar traceback.
-
-        The small-wave path of the dispatch heuristic: below
-        :attr:`scalar_traceback_threshold` traced lanes, materialising each
-        lane's :class:`DCTable` and walking it with
-        :func:`repro.core.genasm_tb.genasm_traceback` beats the lockstep
-        walk's per-step NumPy dispatch.  Decisions and read accounting are
-        identical by construction — the scalar walk reads the same stored
-        state through the same predicates the decision words encode.
-        """
-        from repro.core.genasm_tb import genasm_traceback
-
-        priority = self.config.match_priority
-        stored = state.stored_bytes()
-        for lane, (s, _rev_p, _rev_t, commit, wt_len, _budget) in enumerate(pending):
-            if not solved[lane]:
-                continue
-            table = state.table(lane)
-            ops, text_stop = genasm_traceback(
-                table, priority=priority, max_pattern_columns=commit
-            )
-            codes = np.fromiter(
-                (_CODE_BY_OP[op] for op in ops), dtype=np.int8, count=len(ops)
-            )
-            self._apply_window(
-                s,
-                codes=codes,
-                pattern_consumed=sum(1 for op in ops if op.consumes_pattern),
-                text_consumed=wt_len - text_stop,
-                rows=int(state.rows_computed[lane]),
-                stored=int(stored[lane]),
-                path="scalar",
             )
 
     def _apply_window(
@@ -995,20 +872,14 @@ class BatchAlignmentEngine:
         text_consumed: int,
         rows: int,
         stored: int,
-        path: Optional[str] = None,
         walk_steps: Optional[int] = None,
         match_runs: int = 0,
         match_run_ops: int = 0,
     ) -> None:
         # Single home of window accounting: the E-series counter and the
         # per-pair metadata tally advance together, once per committed
-        # window (never per retry sub-wave).
-        if path == "lockstep":
-            s.tb_lockstep += 1
-        elif path == "scalar":
-            s.tb_scalar += 1
-        # Walk observability: a path that emits one op per iteration (the
-        # scalar walk, or untraced insert-only windows) saves nothing.
+        # window (never per retry sub-wave).  Walk observability: untraced
+        # insert-only windows emit one op per iteration and save nothing.
         if walk_steps is None:
             walk_steps = int(codes.size)
         saved = int(codes.size) - walk_steps

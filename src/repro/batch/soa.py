@@ -156,7 +156,7 @@ class WaveDescriptor:
 
     Lane sequences travel inside the same buffer (``pattern_data`` /
     ``text_data`` blobs with ``pattern_off`` / ``text_off`` offset arrays,
-    utf-8 encoded), so a rebuilt wave can run the scalar traceback and
+    utf-8 encoded), so a rebuilt wave can be traced back and can
     materialise per-lane :class:`~repro.core.genasm_dc.DCTable` objects
     without any side channel.  Rebuilt lanes get *fresh* access counters:
     DP accounting belongs to whichever process executes the wave.

@@ -67,8 +67,10 @@ class GenASMAligner:
         pattern and a prefix of the text (semi-global, start-anchored).
         The alignment's ``metadata`` carries the per-pair measurements used
         by experiments E3/E4: stored DP bytes, DP accesses, rows computed
-        and window count.
+        and window count.  Both sequences are upper-cased first, as FASTA /
+        FASTQ ingest does, so soft-masked (lower-case) bases still match.
         """
+        pattern, text = pattern.upper(), text.upper()
         counter = counter if counter is not None else AccessCounter()
         result = align_windowed(pattern, text, self.config, counter=counter)
         footprint = MemoryFootprint.from_config(self.config)
@@ -114,10 +116,11 @@ class GenASMAligner:
         the distance exceeds ``max_errors``.  Intended for filter-style use
         and for cheap distance queries on short sequences — long sequences
         should use :meth:`align`, whose windowing keeps the cost linear.
+        Case-insensitive, like :meth:`align`.
         """
         return genasm_distance_only(
-            pattern,
-            text,
+            pattern.upper(),
+            text.upper(),
             max_errors,
             early_termination=self.config.early_termination,
         )

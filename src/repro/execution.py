@@ -21,14 +21,13 @@ backend    copy semantics                 ordering                    traceback 
 ========== ============================== =========================== =============================
 serial     none (in-process loop)         input order                 scalar bitvector walk
 process    pickle per pair                input order (pool map)      scalar bitvector walk
-vectorized none (in-process SoA waves)    input order                 decision-word wave (scalar
-                                                                      fallback below threshold)
+vectorized none (in-process SoA waves)    input order                 decision-word wave traceback
 shared     shared-memory descriptors      input order (chunk concat)  decision-word wave per worker
-streaming  in-process waves, or shared-   bounded reorder buffer      heuristic scalar/vectorized
-           memory descriptors with an     (in order; out-of-order     per wave
+streaming  in-process waves, or shared-   bounded reorder buffer      decision-word wave traceback
+           memory descriptors with an     (in order; out-of-order
            executor                       emission opt-in)
-service    in-process waves shared        per-request input order     heuristic scalar/vectorized
-           across client requests         (futures resolve            per wave
+service    in-process waves shared        per-request input order     decision-word wave traceback
+           across client requests         (futures resolve
            (shared-memory descriptors     independently)
            with an executor)
 ========== ============================== =========================== =============================
@@ -169,7 +168,7 @@ class VectorizedBackend:
         name="vectorized",
         copy_semantics="none (in-process SoA waves)",
         ordering="input order",
-        traceback="decision-word wave traceback (scalar fallback below threshold)",
+        traceback="decision-word wave traceback",
         multiprocess=False,
         summary="NumPy lockstep waves in one process; the offline mega-batch path",
     )
@@ -231,7 +230,7 @@ class StreamingBackend:
             "in-process waves; shared-memory descriptors when given an executor"
         ),
         ordering="bounded reorder buffer (in order; out-of-order emission opt-in)",
-        traceback="heuristic scalar/vectorized per wave",
+        traceback="decision-word wave traceback",
         multiprocess=True,
         summary="overlapped ingest/map/align dataflow; pairs flow through waves",
     )
@@ -267,7 +266,7 @@ class ServiceBackend:
             "(shared-memory descriptors with an executor)"
         ),
         ordering="per-request input order (futures resolve independently)",
-        traceback="heuristic scalar/vectorized per wave",
+        traceback="decision-word wave traceback",
         multiprocess=True,
         summary="multi-tenant request coalescing over the streaming wave core",
     )

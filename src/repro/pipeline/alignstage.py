@@ -27,10 +27,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from repro.batch.engine import (
-    DEFAULT_SCALAR_TRACEBACK_THRESHOLD,
-    BatchAlignmentEngine,
-)
+from repro.batch.engine import BatchAlignmentEngine
 from repro.core.alignment import Alignment
 from repro.core.config import GenASMConfig
 from repro.pipeline.window import InflightWindow
@@ -54,6 +51,9 @@ def _align_wave(
 class AlignStage:
     """Submit/collect interface over wave-granular alignment execution.
 
+    Every wave, however narrow, is traced back by the engine's lockstep
+    decision-word walk.
+
     Parameters
     ----------
     config:
@@ -71,7 +71,7 @@ class AlignStage:
         pickled pairs.  The executor stays caller-owned: :meth:`close`
         does not shut it down, so one warm pool can serve many runs.  Its
         config must equal this stage's.
-    max_lanes, scheduling, scalar_traceback_threshold, name:
+    max_lanes, scheduling, name:
         Forwarded to :class:`BatchAlignmentEngine`.
     tracer:
         Optional :class:`~repro.telemetry.trace.Tracer`.  Each submitted
@@ -91,7 +91,6 @@ class AlignStage:
         executor=None,
         max_lanes: Optional[int] = None,
         scheduling: str = "sorted",
-        scalar_traceback_threshold: int = DEFAULT_SCALAR_TRACEBACK_THRESHOLD,
         name: str = "genasm-streaming",
         tracer=None,
     ) -> None:
@@ -107,7 +106,6 @@ class AlignStage:
         self._engine_kwargs = {
             "max_lanes": max_lanes,
             "scheduling": scheduling,
-            "scalar_traceback_threshold": scalar_traceback_threshold,
             "name": name,
         }
         # The in-process engine also validates config/options eagerly for

@@ -74,6 +74,10 @@ class MappedAlignment:
 class StreamingPipeline:
     """Staged streaming read-mapping + alignment pipeline.
 
+    Every wave — full, or a few-lane linger or drain flush — runs the
+    engine's lockstep DC kernel and decision-word traceback, so results
+    never depend on how the stream was cut into waves.
+
     Parameters
     ----------
     mapper:
@@ -120,8 +124,6 @@ class StreamingPipeline:
         :attr:`MappedAlignment.order` for callers that reorder downstream.
         (:meth:`align_pairs` always returns input order; out-of-order mode
         only changes *when* results become visible to :meth:`run`.)
-    scalar_traceback_threshold:
-        Forwarded to :class:`repro.batch.BatchAlignmentEngine`.
     tracer:
         Optional :class:`~repro.telemetry.trace.Tracer`.  When given, each
         stage block records a ``stage.{ingest,map,batch,align,emit}`` span,
@@ -152,7 +154,6 @@ class StreamingPipeline:
         executor=None,
         max_reorder: Optional[int] = None,
         ordered: bool = True,
-        scalar_traceback_threshold: Optional[int] = None,
         tracer=None,
         name: str = "genasm-streaming",
     ) -> None:
@@ -174,7 +175,6 @@ class StreamingPipeline:
         self.executor = executor
         self.max_reorder = max_reorder
         self.ordered = ordered
-        self.scalar_traceback_threshold = scalar_traceback_threshold
         self.tracer = get_tracer(tracer)
         self.name = name
         #: Stats of the most recent run (populated even on partial
@@ -187,7 +187,8 @@ class StreamingPipeline:
         # accumulator, and a merged tail wave (wave_size + remainder lanes)
         # must run as one engine chunk, not get re-split back into the
         # partial dispatch the merge existed to avoid.
-        kwargs = dict(
+        return AlignStage(
+            self.config,
             workers=self.align_workers,
             inflight=self.align_inflight,
             executor=self.executor,
@@ -196,9 +197,6 @@ class StreamingPipeline:
             name=self.name,
             tracer=self.tracer,
         )
-        if self.scalar_traceback_threshold is not None:
-            kwargs["scalar_traceback_threshold"] = self.scalar_traceback_threshold
-        return AlignStage(self.config, **kwargs)
 
     def _build_accumulator(self, stats: PipelineStats, align: AlignStage) -> WaveAccumulator:
         # The sorted policy groups lanes by the same expected-work model the

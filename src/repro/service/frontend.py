@@ -258,9 +258,17 @@ class AlignmentService:
         order** (each pair's result is independent of which shared wave
         carried it, so results are byte-identical to an offline run over
         the same pairs).  Thread-safe: any number of client threads may
-        submit concurrently, under any tenant label.
+        submit concurrently, under any tenant label.  A pair whose pattern
+        or text is not a ``str`` raises :class:`TypeError` here, before
+        anything is queued, so it can never reach a shared wave.
         """
         pairs = [(pattern, text) for pattern, text in pairs]
+        for index, (pattern, text) in enumerate(pairs):
+            if not isinstance(pattern, str) or not isinstance(text, str):
+                raise TypeError(
+                    f"pair {index}: pattern and text must be str, got "
+                    f"{type(pattern).__name__} and {type(text).__name__}"
+                )
         with self._wake:
             if self._closed:
                 raise RuntimeError("service already closed")

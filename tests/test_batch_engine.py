@@ -20,7 +20,7 @@ from repro.batch import (
     SoAWave,
     align_pairs_vectorized,
     lockstep_stats,
-    run_dc_wave,
+    run_dc_wave_state,
 )
 from repro.core.aligner import GenASMAligner, align_pair
 from repro.core.cigar import CigarOp
@@ -28,6 +28,7 @@ from repro.core.config import GenASMConfig
 from repro.core.genasm_dc import genasm_dc
 from repro.core.metrics import AccessCounter
 from repro.core.windowing import align_window, align_windowed
+from repro.execution import available_backends, get_backend
 from repro.gpu.device import A6000
 from repro.gpu.kernel import GenASMKernelSpec
 from repro.gpu.simulator import GpuSimulator
@@ -194,10 +195,11 @@ class TestDCWave:
                 )
             )
         wave = SoAWave(jobs, traceback_band=traceback_band)
-        tables = run_dc_wave(
+        state = run_dc_wave_state(
             wave, entry_compression=entry_compression, early_termination=True
         )
-        for got, want in zip(tables, scalar_tables):
+        for lane, want in enumerate(scalar_tables):
+            got = state.table(lane)
             assert got.min_errors == want.min_errors
             assert got.rows_computed == want.rows_computed
             assert got.final_column == want.final_column
@@ -318,6 +320,32 @@ class TestBatchExecutor:
         assert watch.elapsed == 0.0
         with pytest.raises(RuntimeError):
             watch.stop()
+
+
+class TestCaseNormalisation:
+    """Raw-pair entry points upper-case their input, like FASTA/FASTQ ingest."""
+
+    @staticmethod
+    def _mixed_case(rng, sequence):
+        return "".join(c.lower() if rng.random() < 0.5 else c for c in sequence)
+
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_mixed_case_pair_matches_upper_case_twin(self, rng, backend):
+        upper = _random_pairs(rng, [(18, 0), (150, 12)])
+        mixed = [(self._mixed_case(rng, p), self._mixed_case(rng, t)) for p, t in upper]
+        want = get_backend("serial").align_pairs(upper, GenASMConfig())
+        workers = 2 if get_backend(backend).capabilities.multiprocess else 1
+        got = get_backend(backend).align_pairs(mixed, GenASMConfig(), workers=workers)
+        for have, ref in zip(got, want):
+            assert str(have.cigar) == str(ref.cigar), backend
+            assert have.edit_distance == ref.edit_distance, backend
+
+    def test_lower_case_copy_is_an_exact_match(self):
+        pattern = "ACGTTGCAACGTAGCTAG"
+        assert GenASMAligner().align(pattern.lower(), pattern).edit_distance == 0
+        batch = BatchAlignmentEngine().align_pairs([(pattern.lower(), pattern)])[0]
+        assert str(batch.cigar) == "18="
+        assert GenASMAligner().edit_distance(pattern, pattern.lower()) == 0
 
 
 class TestWarpModel:

@@ -143,13 +143,8 @@ class TestDifferentialEquivalence:
             pair_counter = AccessCounter()
             scalar.append(aligner.align(pattern, text, counter=pair_counter))
             scalar_counter.merge(pair_counter)
-        # threshold 0 forces the lockstep walk for every wave (the default
-        # small-wave heuristic would route these few-lane test batches to
-        # the scalar traceback and mask lockstep regressions).
         batch_counter = AccessCounter()
-        batch = BatchAlignmentEngine(
-            config, scalar_traceback_threshold=0
-        ).align_pairs(pairs, counter=batch_counter)
+        batch = BatchAlignmentEngine(config).align_pairs(pairs, counter=batch_counter)
 
         assert_pairwise_identical(scalar, batch, context)
         # Every AccessCounter field over the whole batch, including the
@@ -228,7 +223,7 @@ class TestMultiWordDifferential:
         )
         scalar, scalar_counter = self._scalar_reference(config, pairs)
         batch_counter = AccessCounter()
-        engine = BatchAlignmentEngine(config, scalar_traceback_threshold=0)
+        engine = BatchAlignmentEngine(config)
         batch = engine.align_pairs(pairs, counter=batch_counter)
         assert_pairwise_identical(scalar, batch, context)
         assert batch_counter.as_dict() == scalar_counter.as_dict(), context
@@ -244,13 +239,10 @@ class TestMultiWordDifferential:
         pairs = window_boundary_pairs(rng, window_size)
         context = f"window={window_size} priority={priority}"
         scalar, scalar_counter = self._scalar_reference(config, pairs)
-        for threshold in (0, 10**9):  # both traceback paths of the heuristic
-            batch_counter = AccessCounter()
-            batch = BatchAlignmentEngine(
-                config, scalar_traceback_threshold=threshold
-            ).align_pairs(pairs, counter=batch_counter)
-            assert_pairwise_identical(scalar, batch, f"{context} thr={threshold}")
-            assert batch_counter.as_dict() == scalar_counter.as_dict(), context
+        batch_counter = AccessCounter()
+        batch = BatchAlignmentEngine(config).align_pairs(pairs, counter=batch_counter)
+        assert_pairwise_identical(scalar, batch, context)
+        assert batch_counter.as_dict() == scalar_counter.as_dict(), context
 
     @pytest.mark.parametrize("window_size", [65, 96, 150])
     @pytest.mark.parametrize("scheduling", ["sorted", "fifo"])
@@ -261,7 +253,7 @@ class TestMultiWordDifferential:
         scalar, scalar_counter = self._scalar_reference(config, pairs)
         batch_counter = AccessCounter()
         chunked = BatchAlignmentEngine(
-            config, max_lanes=3, scheduling=scheduling, scalar_traceback_threshold=0
+            config, max_lanes=3, scheduling=scheduling
         ).align_pairs(pairs, counter=batch_counter)
         assert_pairwise_identical(scalar, chunked, context)
         assert batch_counter.as_dict() == scalar_counter.as_dict(), context
@@ -270,7 +262,7 @@ class TestMultiWordDifferential:
         # The acceptance criterion of the multi-word PR: short_read(150)
         # batches run 3-word lanes with no scalar fallback.
         config = GenASMConfig.short_read(150)
-        engine = BatchAlignmentEngine(config, scalar_traceback_threshold=0)
+        engine = BatchAlignmentEngine(config)
         assert engine.vectorizable
         assert engine.words_per_lane == 3
         pattern = random_dna(rng, 150)
@@ -278,7 +270,6 @@ class TestMultiWordDifferential:
         for alignment in engine.align_pairs(pairs):
             assert alignment.metadata["vectorized"] is True
             assert alignment.metadata["words_per_lane"] == 3
-            assert alignment.metadata["traceback_path"] == "lockstep"
 
 
 class TestDecisionWords:
@@ -319,9 +310,8 @@ class TestDecisionWords:
         decisions = build_wave_decisions(
             wave, state.stored_rows, entry_compression=entry_compression
         )
-        tables = state.tables()
-
-        for lane, (job, table) in enumerate(zip(wave.jobs, tables)):
+        for lane, job in enumerate(wave.jobs):
+            table = state.table(lane)
             conditions = traceback_conditions(table)
             m, n = len(job.pattern), len(job.text)
             for d in range(table.rows_computed):
@@ -352,15 +342,9 @@ class TestGoldenCorpus:
             assert alignment.edit_distance == entry["edit_distance"]
             assert alignment.text_end == entry["text_end"]
 
-    @pytest.mark.parametrize("threshold", [0, 10**9])
-    def test_vectorized_reproduces_golden(self, corpus, threshold):
-        # Both traceback paths of the dispatch heuristic reproduce the
-        # corpus: 0 forces the lockstep walk, the huge threshold forces
-        # the scalar per-lane walk.
+    def test_vectorized_reproduces_golden(self, corpus):
         pairs = [(e["pattern"], e["text"]) for e in corpus["entries"]]
-        engine = BatchAlignmentEngine(
-            GenASMConfig(), scalar_traceback_threshold=threshold
-        )
+        engine = BatchAlignmentEngine(GenASMConfig())
         for entry, alignment in zip(corpus["entries"], engine.align_pairs(pairs)):
             assert str(alignment.cigar) == entry["cigar"]
             assert alignment.edit_distance == entry["edit_distance"]
@@ -407,11 +391,10 @@ class TestShortReadGoldenCorpus:
             entries, [aligner.align(e["pattern"], e["text"]) for e in entries]
         )
 
-    @pytest.mark.parametrize("threshold", [0, 10**9])
-    def test_vectorized_reproduces_short_read_golden(self, corpus, config, threshold):
+    def test_vectorized_reproduces_short_read_golden(self, corpus, config):
         entries = corpus["short_read_entries"]
         pairs = [(e["pattern"], e["text"]) for e in entries]
-        engine = BatchAlignmentEngine(config, scalar_traceback_threshold=threshold)
+        engine = BatchAlignmentEngine(config)
         alignments = engine.align_pairs(pairs)
         self._assert_reproduces(entries, alignments)
         # No silent scalar fallback: every alignment went through the
@@ -512,12 +495,10 @@ class TestWaveScheduling:
 class TestWindowAccounting:
     """Window accounting lives in one spot and survives retry sub-waves."""
 
-    @pytest.mark.parametrize("threshold", [0, 10**9])
-    def test_retry_subwave_metrics_match_scalar(self, rng, threshold):
+    def test_retry_subwave_metrics_match_scalar(self, rng):
         # k = 1 forces budget-doubling retries on any window with >= 2
         # edits; the engine must still count each window once and charge
-        # exactly the scalar path's retry DP traffic — under either
-        # traceback path of the dispatch heuristic.
+        # exactly the scalar path's retry DP traffic.
         config = GenASMConfig(max_errors=1)
         pairs = []
         for length in (60, 96, 130):
@@ -532,9 +513,7 @@ class TestWindowAccounting:
             scalar.append(aligner.align(pattern, text, counter=pair_counter))
             scalar_counter.merge(pair_counter)
         batch_counter = AccessCounter()
-        batch = BatchAlignmentEngine(
-            config, scalar_traceback_threshold=threshold
-        ).align_pairs(pairs, counter=batch_counter)
+        batch = BatchAlignmentEngine(config).align_pairs(pairs, counter=batch_counter)
 
         assert_pairwise_identical(scalar, batch, "retry sub-waves")
         assert batch_counter.as_dict() == scalar_counter.as_dict()
@@ -542,60 +521,28 @@ class TestWindowAccounting:
         # k=1 attempt could compute over the counted windows).
         assert batch_counter.rows_computed > 2 * batch_counter.windows
 
-    def test_heuristic_threshold_never_changes_results_or_accounting(self, rng):
-        # The small-wave dispatch heuristic moves only the crossover
-        # between the two byte-identical traceback implementations:
-        # results AND counters are invariant to the threshold.
+    def test_wave_width_never_changes_results_or_accounting(self, rng):
+        # Every wave takes the lockstep walk whatever its width: one-lane
+        # waves, narrow chunks and one wide wave all reproduce the scalar
+        # reference, results AND counters.
         pairs = random_pairs(rng) + adversarial_pairs()
         config = GenASMConfig()
+        aligner = GenASMAligner(config)
         reference_counter = AccessCounter()
-        reference = BatchAlignmentEngine(
-            config, scalar_traceback_threshold=0
-        ).align_pairs(pairs, counter=reference_counter)
-        for threshold in (1, 4, 10**9):
+        reference = [
+            aligner.align(pattern, text, counter=reference_counter)
+            for pattern, text in pairs
+        ]
+        reference_counts = reference_counter.as_dict()
+        for max_lanes in (1, 4, None):
             counter = AccessCounter()
-            engine = BatchAlignmentEngine(
-                config, scalar_traceback_threshold=threshold
-            )
+            engine = BatchAlignmentEngine(config, max_lanes=max_lanes)
             got = engine.align_pairs(pairs, counter=counter)
-            assert_pairwise_identical(reference, got, f"threshold={threshold}")
-            assert counter.as_dict() == reference_counter.as_dict(), threshold
-
-    def test_traceback_path_recorded_in_metadata(self, rng):
-        pattern = random_dna(rng, 200)
-        pairs = [(pattern, mutate(rng, pattern, 12) + "ACGT")] * 4
-        lockstep = BatchAlignmentEngine(GenASMConfig(), scalar_traceback_threshold=0)
-        for alignment in lockstep.align_pairs(pairs):
-            assert alignment.metadata["traceback_path"] == "lockstep"
-        scalar = BatchAlignmentEngine(GenASMConfig(), scalar_traceback_threshold=10**9)
-        for alignment in scalar.align_pairs(pairs):
-            assert alignment.metadata["traceback_path"] == "scalar"
-        # Below the default threshold a small batch routes to the scalar
-        # walk; a pair with no DP windows at all reports "none".
-        default = BatchAlignmentEngine(GenASMConfig())
-        assert default.scalar_traceback_threshold > len(pairs)
-        for alignment in default.align_pairs(pairs):
-            assert alignment.metadata["traceback_path"] == "scalar"
-        empty = default.align_pairs([("", "ACGT")])[0]
-        assert empty.metadata["traceback_path"] == "none"
-
-    def test_mixed_traceback_path_on_shrinking_waves(self, rng):
-        # A wide wave of short pairs plus a few long pairs: early windows
-        # trace >= threshold lanes in lockstep, and once the short lanes
-        # finish, the surviving long lanes drop below the threshold and
-        # switch to the scalar walk — the long pairs record "mixed".
-        short_pattern = random_dna(rng, 40)
-        long_pattern = random_dna(rng, 400)
-        pairs = [(short_pattern, mutate(rng, short_pattern, 3) + "ACGT")] * 8
-        pairs += [(long_pattern, mutate(rng, long_pattern, 30) + "ACGT")] * 2
-        engine = BatchAlignmentEngine(GenASMConfig(), scalar_traceback_threshold=6)
-        alignments = engine.align_pairs(pairs)
-        assert all(a.metadata["traceback_path"] == "lockstep" for a in alignments[:8])
-        assert all(a.metadata["traceback_path"] == "mixed" for a in alignments[8:])
-
-    def test_invalid_threshold_rejected(self):
-        with pytest.raises(ValueError):
-            BatchAlignmentEngine(GenASMConfig(), scalar_traceback_threshold=-1)
+            assert [str(a.cigar) for a in got] == [str(a.cigar) for a in reference]
+            assert [a.edit_distance for a in got] == [
+                a.edit_distance for a in reference
+            ]
+            assert counter.as_dict() == reference_counts, max_lanes
 
     def test_windows_counted_once_per_window(self):
         # One multi-window pair with the text exhausted halfway: both the
@@ -639,9 +586,9 @@ class TestSkipAheadTraceback:
             scalar_counter.merge(pair_counter)
 
         batch_counter = AccessCounter()
-        batch = BatchAlignmentEngine(
-            config, scalar_traceback_threshold=0
-        ).align_pairs(pairs, counter=batch_counter)
+        batch = BatchAlignmentEngine(config).align_pairs(
+            pairs, counter=batch_counter
+        )
 
         assert_pairwise_identical(scalar, batch, context)
         assert batch_counter.as_dict() == scalar_counter.as_dict(), context
@@ -658,9 +605,9 @@ class TestSkipAheadTraceback:
                 match_priority=priority, traceback_skip_ahead=skip
             )
             counter = AccessCounter()
-            alignments = BatchAlignmentEngine(
-                config, scalar_traceback_threshold=0
-            ).align_pairs(pairs, counter=counter)
+            alignments = BatchAlignmentEngine(config).align_pairs(
+                pairs, counter=counter
+            )
             outcomes[skip] = (alignments, counter.as_dict())
         assert_pairwise_identical(outcomes[False][0], outcomes[True][0], priority)
         assert outcomes[False][1] == outcomes[True][1], priority
@@ -669,7 +616,7 @@ class TestSkipAheadTraceback:
         pattern = random_dna(rng, 120)
         pairs = [(pattern, mutate(rng, pattern, 6) + "ACGT") for _ in range(4)]
 
-        on = BatchAlignmentEngine(GenASMConfig(), scalar_traceback_threshold=0)
+        on = BatchAlignmentEngine(GenASMConfig())
         on_alignments = on.align_pairs(pairs)
         saved = sum(a.metadata["tb_walk_steps_saved"] for a in on_alignments)
         assert saved > 0
@@ -681,9 +628,7 @@ class TestSkipAheadTraceback:
             assert meta["tb_match_run_ops"] >= meta["tb_match_runs"]
             assert meta["tb_walk_steps"] > 0
 
-        off = BatchAlignmentEngine(
-            GenASMConfig(traceback_skip_ahead=False), scalar_traceback_threshold=0
-        )
+        off = BatchAlignmentEngine(GenASMConfig(traceback_skip_ahead=False))
         off_alignments = off.align_pairs(pairs)
         assert all(
             a.metadata["tb_walk_steps_saved"] == 0 for a in off_alignments
@@ -701,26 +646,12 @@ class TestSkipAheadTraceback:
     def test_scheduling_stats_fold_traceback_counters(self, rng):
         pattern = random_dna(rng, 90)
         pairs = [(pattern, mutate(rng, pattern, 4) + "AC")] * 3
-        engine = BatchAlignmentEngine(GenASMConfig(), scalar_traceback_threshold=0)
+        engine = BatchAlignmentEngine(GenASMConfig())
         engine.align_pairs(pairs)
         stats = engine.scheduling_stats(pairs)
         assert stats["tb_walk_steps"] > 0
         assert stats["tb_steps_saved"] >= 0
         assert stats["tb_seconds"] >= 0
-
-    def test_dispatch_threshold_halved_when_skip_active(self):
-        engine = BatchAlignmentEngine(GenASMConfig(), scalar_traceback_threshold=24)
-        assert engine.effective_scalar_threshold() == 12
-        no_skip = BatchAlignmentEngine(
-            GenASMConfig(traceback_skip_ahead=False), scalar_traceback_threshold=24
-        )
-        assert no_skip.effective_scalar_threshold() == 24
-        # A non-M-first priority never takes runs, so the lockstep step
-        # cost is unchanged and the threshold must not shift.
-        non_m_first = BatchAlignmentEngine(
-            GenASMConfig(match_priority="SMDI"), scalar_traceback_threshold=24
-        )
-        assert non_m_first.effective_scalar_threshold() == 24
 
 
 class TestKernelBackendSeam:
@@ -764,9 +695,7 @@ class TestKernelBackendSeam:
         pairs = random_pairs(rng) + adversarial_pairs()
         config = GenASMConfig(kernel_backend=backend)
         scalar = [GenASMAligner(config).align(p, t) for p, t in pairs]
-        batch = BatchAlignmentEngine(
-            config, scalar_traceback_threshold=0
-        ).align_pairs(pairs)
+        batch = BatchAlignmentEngine(config).align_pairs(pairs)
         assert_pairwise_identical(scalar, batch, f"backend={backend}")
 
     def test_alignment_metadata_reports_backend(self, rng):

@@ -19,6 +19,7 @@ import warnings
 import pytest
 
 from repro.core.config import GenASMConfig
+from repro.execution import get_backend
 from repro.harness.experiments import _simulate_short_read_pairs
 from repro.parallel.executor import BatchExecutor
 from repro.pipeline import FLUSH_CAUSES, PipelineStats, WaveAccumulator
@@ -319,6 +320,23 @@ class TestAlignmentService:
                 thread.join()
         for slot, pairs in enumerate(workloads):
             assert_same_alignments(offline_alignments(pairs), results[slot], str(slot))
+
+    def test_malformed_pair_fails_only_its_own_submit(self):
+        # A non-str sequence that reached the dispatch thread would kill
+        # it and stall every later request and close().  No try/finally:
+        # on a regression the daemon dispatcher is left behind rather
+        # than hanging the suite in close().
+        pairs = _simulate_short_read_pairs(4, 120, 0.05, 11)
+        service = AlignmentService(CONFIG, wave_size=4, linger_seconds=0.005)
+        with pytest.raises(TypeError, match="str"):
+            service.submit([("ACGT", None)], tenant="a")
+        with pytest.raises(TypeError, match="str"):
+            service.submit([("ACGT", "ACGT"), (b"ACGT", "ACGT")], tenant="a")
+        assert service.stats.requests_submitted == 0
+        got = service.submit(pairs, tenant="b").result(timeout=60)
+        service.close()
+        serial = get_backend("serial").align_pairs(pairs, CONFIG)
+        assert_same_alignments(serial, got)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="max_inflight_per_tenant"):

@@ -26,7 +26,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.batch.engine import BatchAlignmentEngine, run_dc_wave
+from repro.batch.engine import BatchAlignmentEngine, run_dc_wave_state
 from repro.batch.soa import LaneJob, SoAWave
 from repro.core.config import GenASMConfig
 from repro.genomics.genome import SyntheticGenome
@@ -157,6 +157,12 @@ class TestSegmentsAndLayouts:
 # --------------------------------------------------------------------------- #
 # Wave descriptors
 # --------------------------------------------------------------------------- #
+def _lane_tables(wave):
+    """Run the DC wave and adapt every lane to its scalar ``DCTable``."""
+    state = run_dc_wave_state(wave)
+    return [state.table(lane) for lane in range(wave.lanes)]
+
+
 def _make_wave(rng, lengths=(12, 40, 64, 65, 100)):
     jobs = []
     for length in lengths:
@@ -178,21 +184,21 @@ class TestWaveDescriptor:
         ]
         # Reference tables come from a fresh wave (same seed) in case the
         # first run mutated wave state in place.
-        want = run_dc_wave(_make_wave(random.Random(1234)))
-        got = run_dc_wave(rebuilt)
+        want = _lane_tables(_make_wave(random.Random(1234)))
+        got = _lane_tables(rebuilt)
         for a, b in zip(got, want):
             assert a.min_errors == b.min_errors
             assert a.final_column == b.final_column
 
     def test_shared_export_attach_unlink(self, rng):
         wave = _make_wave(rng)
-        reference = run_dc_wave(_make_wave(random.Random(1234)))
+        reference = _lane_tables(_make_wave(random.Random(1234)))
         shared = wave.to_shared()
         name = shared.descriptor.segment
         assert name is not None
         attached = SoAWave.from_shared(shared.descriptor)
         try:
-            got = run_dc_wave(attached)
+            got = _lane_tables(attached)
             for a, b in zip(got, reference):
                 assert a.min_errors == b.min_errors
                 assert a.stored_bytes() == b.stored_bytes()
