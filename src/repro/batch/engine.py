@@ -640,11 +640,10 @@ class BatchAlignmentEngine:
         (``align_batch`` instead snapshots the shared counter's running
         totals into per-alignment metadata, which this engine does not
         replicate), and always records ``vectorized`` / ``words_per_lane``
-        so a scalar fallback is observable.  Sequences are upper-cased
-        first, exactly as :meth:`repro.core.aligner.GenASMAligner.align`
-        does.
+        so a scalar fallback is observable.  Alignment is case-insensitive,
+        exactly as in :meth:`repro.core.aligner.GenASMAligner.align`; each
+        returned ``Alignment`` keeps the caller's ``pattern`` and ``text``.
         """
-        pairs = [(pattern.upper(), text.upper()) for pattern, text in pairs]
         if not self.vectorizable:
             reason = f"word_bits={self.config.word_bits}"
             if reason not in _FALLBACK_WARNED:
@@ -683,7 +682,7 @@ class BatchAlignmentEngine:
         self, pairs: Sequence[Tuple[str, str]], shared: Optional[AccessCounter]
     ) -> List[Alignment]:
         config = self.config
-        states = [_PairState(p, t) for p, t in pairs]
+        states = [_PairState(p.upper(), t.upper()) for p, t in pairs]
 
         while True:
             active = [s for s in states if not s.done]
@@ -724,7 +723,7 @@ class BatchAlignmentEngine:
         footprint = MemoryFootprint.from_config(config)
         model_bytes = footprint.bytes_for_config(config)
         alignments: List[Alignment] = []
-        for s in states:
+        for s, (pattern, text) in zip(states, pairs):
             cigar = s.cigar()
             metadata = {
                 "windows": s.windows,
@@ -744,8 +743,8 @@ class BatchAlignmentEngine:
             }
             alignments.append(
                 Alignment(
-                    pattern=s.pattern,
-                    text=s.text,
+                    pattern=pattern,
+                    text=text,
                     cigar=cigar,
                     edit_distance=cigar.edit_distance,
                     text_start=0,

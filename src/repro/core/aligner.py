@@ -67,12 +67,14 @@ class GenASMAligner:
         pattern and a prefix of the text (semi-global, start-anchored).
         The alignment's ``metadata`` carries the per-pair measurements used
         by experiments E3/E4: stored DP bytes, DP accesses, rows computed
-        and window count.  Both sequences are upper-cased first, as FASTA /
-        FASTQ ingest does, so soft-masked (lower-case) bases still match.
+        and window count.  Both sequences are aligned upper-cased, as FASTA /
+        FASTQ ingest does, so soft-masked (lower-case) bases still match;
+        the returned ``Alignment`` keeps the caller's ``pattern`` and ``text``.
         """
-        pattern, text = pattern.upper(), text.upper()
         counter = counter if counter is not None else AccessCounter()
-        result = align_windowed(pattern, text, self.config, counter=counter)
+        result = align_windowed(
+            pattern.upper(), text.upper(), self.config, counter=counter
+        )
         footprint = MemoryFootprint.from_config(self.config)
         metadata = {
             "windows": result.windows,

@@ -323,7 +323,8 @@ class TestBatchExecutor:
 
 
 class TestCaseNormalisation:
-    """Raw-pair entry points upper-case their input, like FASTA/FASTQ ingest."""
+    """Raw-pair entry points align case-insensitively, like FASTA/FASTQ ingest,
+    and hand back the caller's sequences unchanged."""
 
     @staticmethod
     def _mixed_case(rng, sequence):
@@ -336,9 +337,10 @@ class TestCaseNormalisation:
         want = get_backend("serial").align_pairs(upper, GenASMConfig())
         workers = 2 if get_backend(backend).capabilities.multiprocess else 1
         got = get_backend(backend).align_pairs(mixed, GenASMConfig(), workers=workers)
-        for have, ref in zip(got, want):
+        for have, ref, (pattern, text) in zip(got, want, mixed):
             assert str(have.cigar) == str(ref.cigar), backend
             assert have.edit_distance == ref.edit_distance, backend
+            assert (have.pattern, have.text) == (pattern, text), backend
 
     def test_lower_case_copy_is_an_exact_match(self):
         pattern = "ACGTTGCAACGTAGCTAG"
