@@ -7,7 +7,7 @@ A CI gate for the two halves of the scenario layer:
   (:mod:`repro.harness.grid`) over one simulated long-read workload,
   appends one provenance-stamped row per cell to the checked-in
   ``BENCH_pipeline.json`` trajectory (``grid_history``), and **fails** if
-  any cell's alignments differ from the vectorized reference or the
+  any cell's alignments differ from the serial reference or the
   declared vectorized-vs-serial throughput gate drops below the ``grid``
   section's regression floor;
 * **the emitters** — streams the same workload through

@@ -75,7 +75,7 @@ from repro.batch.traceback import (
     build_wave_decisions,
     lockstep_traceback,
 )
-from repro.core.alignment import Alignment
+from repro.core.alignment import Alignment, checked_pairs
 from repro.core.cigar import Cigar, CigarOp
 from repro.core.config import GenASMConfig
 from repro.core.genasm_dc import DCTable
@@ -276,13 +276,13 @@ def run_dc_wave_state(
     Lanes are ``wave.words`` ``uint64`` words wide; every shift in the
     recurrence carries bit 63 of word ``w`` into bit 0 of word ``w + 1``
     (:func:`_shl1`), and the solution test probes each lane's
-    ``(msb_word, msb_shift)``.  The per-row match-chain scan — the
-    sequential column dependency NumPy cannot vectorize away — runs
-    through ``kernels.dc_scan`` (:mod:`repro.batch.kernels`), so the
-    compiled backend replaces exactly that loop; everything without the
-    dependency stays hoisted NumPy.  Per-lane DP accounting (entries,
-    rows, writes, skipped rows) is charged to each lane's counter before
-    returning.
+    ``(msb_word, msb_shift)``.  The per-row match-chain scan — the one
+    column-to-column dependency — runs through ``kernels.dc_scan``
+    (:mod:`repro.batch.kernels`): a log-step prefix composition in NumPy,
+    or a per-column loop in the compiled twin; everything without the
+    dependency is NumPy over all columns at once.  Per-lane DP accounting
+    (entries, rows, writes, skipped rows) is charged to each lane's
+    counter before returning.
     """
     if kernels is None:
         kernels = get_kernels("auto", warn=False)
@@ -317,11 +317,11 @@ def run_dc_wave_state(
         row0 = ones & _CLEAR_LOW[np.clip(d - word_base, 0, MAX_LANE_BITS)]
         R_cur[:, :, 0] = row0
 
-        # Lockstep scan along the text.  The match chain is a sequential
-        # dependency (value[j] needs value[j-1]), so j stays a loop —
-        # delegated to the kernel seam (NumPy reference or compiled twin);
-        # everything without that dependency is hoisted out and vectorized
-        # over all columns at once.
+        # Lockstep scan along the text.  The match chain is the one column
+        # dependency (value[j] needs value[j-1]); the kernel seam resolves
+        # it (a log-step prefix composition in NumPy, or the compiled
+        # twin's column loop).  The subst/ins/del terms have no such
+        # dependency and are vectorized over all columns at once.
         if d == 0:
             kernels.dc_scan(R_cur, ones, masks, None)
         else:
@@ -643,7 +643,10 @@ class BatchAlignmentEngine:
         so a scalar fallback is observable.  Alignment is case-insensitive,
         exactly as in :meth:`repro.core.aligner.GenASMAligner.align`; each
         returned ``Alignment`` keeps the caller's ``pattern`` and ``text``.
+        A pattern or text that is not a ``str`` raises :class:`TypeError`
+        before any wave runs.
         """
+        pairs = checked_pairs(pairs)
         if not self.vectorizable:
             reason = f"word_bits={self.config.word_bits}"
             if reason not in _FALLBACK_WARNED:

@@ -1,15 +1,17 @@
-"""Optional compiled kernels for the batch engine's two hottest loops.
+"""Batch-engine kernels for the two hottest steps, NumPy or compiled.
 
 The vectorized engine spends most of its time in two places: the DC
-recurrence's per-column match-chain scan (:func:`run_dc_wave_state`'s
-``j`` loop — a sequential dependency NumPy cannot vectorize away) and the
-traceback walk's per-step gather (four plane words plus the character-
-equality word per lane, combined into the priority key).  Both are
-perfect ``@njit`` shapes: tight integer loops over contiguous ``uint64``
-arrays with no allocation.
+recurrence's per-row match-chain scan along the text (value ``j`` needs
+value ``j - 1``) and the traceback walk's per-step gather (four plane
+words plus the character-equality word per lane, combined into the
+priority key).  The NumPy scan resolves the column dependency with a
+log-step doubling prefix composition (:func:`_dc_scan_numpy`), so one row
+costs a few dozen array calls instead of several per column.  Both
+kernels are also perfect ``@njit`` shapes: tight integer loops over
+contiguous ``uint64`` arrays with no allocation.
 
-This module is the seam that selects between the NumPy reference
-implementation and a Numba-compiled twin:
+This module is the seam that selects between the NumPy implementation and
+a Numba-compiled twin:
 
 * :data:`HAVE_NUMBA` records whether ``numba`` imported; the container
   and the default CI legs run without it, one CI leg installs it and
@@ -36,6 +38,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+
+from repro.batch.soa import MAX_LANE_BITS
 
 __all__ = [
     "HAVE_NUMBA",
@@ -67,7 +71,6 @@ except ImportError:  # the container default; the seam degrades to NumPy
     HAVE_NUMBA = False
 
 _U1 = np.uint64(1)
-_U63 = np.uint64(63)
 
 
 def warn_fallback(reason: str, message: str) -> None:
@@ -129,33 +132,70 @@ class KernelSet:
 
 
 # --------------------------------------------------------------------------- #
-# NumPy reference implementations (the seed engine's loops, verbatim).
+# NumPy implementations.
 # --------------------------------------------------------------------------- #
+def _shl_words(value: np.ndarray, shift: int) -> np.ndarray:
+    """Multi-word ``value << shift`` for ``0 < shift < 64 * W``.
+
+    ``value`` has the word axis first; bits cross from word ``w`` into
+    word ``w + 1`` and bits shifted past the top word are dropped.
+    """
+    W = value.shape[0]
+    if W == 1:
+        return value << np.uint64(shift)
+    q, r = divmod(shift, MAX_LANE_BITS)
+    out = np.zeros_like(value)
+    if r == 0:
+        out[q:] = value[: W - q]
+    else:
+        out[q:] = value[: W - q] << np.uint64(r)
+        out[q + 1 :] |= value[: W - q - 1] >> np.uint64(MAX_LANE_BITS - r)
+    return out
+
+
 def _dc_scan_numpy(
     R_cur: np.ndarray,
     ones: np.ndarray,
     masks: np.ndarray,
     partial: Optional[np.ndarray],
 ) -> None:
-    multi_word = R_cur.shape[0] > 1
+    """One DC row's match-chain scan as a log-step prefix composition.
+
+    Column ``j`` applies ``f_j(x) = ((x << 1) & M_j) | C_j`` to column
+    ``j - 1``, with ``M_j = ones & partial_j`` and ``C_j = masks_j &
+    partial_j`` (``partial`` is all ones on row 0).  Maps of the form
+    ``x -> ((x << s) & M) | C`` are closed under composition::
+
+        f_b(f_a(x)) = ((x << (s_a + s_b)) & ((M_a << s_b) & M_b))
+                      | (((C_a << s_b) & M_b) | C_b)
+
+    so a Hillis-Steele doubling scan resolves every column at once.
+    Column 0 is the constant seed (``M = 0``, ``C = R_cur[:, :, 0]``);
+    at offset ``o = 1, 2, 4, ...`` each column ``j >= o`` absorbs column
+    ``j - o``: ``C_j <- ((C_{j-o} << o) & M_j) | C_j`` and ``M_j <-
+    (M_{j-o} << o) & M_j``.  Once the span reaches column 0 or the
+    accumulated shift reaches the lane width ``64 W`` every map is a
+    constant, so the scan takes ``ceil(log2(min(n_max + 1, 64 W)))``
+    levels, each a handful of NumPy calls over ``(W, L, n_max)``.  ``C``
+    lives in ``R_cur`` itself; ``M`` is one scratch array.
+    """
     n_max = masks.shape[2]
-    prev_value = R_cur[:, :, 0]
+    lane_bits = MAX_LANE_BITS * R_cur.shape[0]
     if partial is None:
-        for j in range(1, n_max + 1):
-            shifted = prev_value << _U1
-            if multi_word:
-                shifted[1:] |= prev_value[:-1] >> _U63
-            value = (shifted & ones) | masks[:, :, j - 1]
-            R_cur[:, :, j] = value
-            prev_value = value
+        R_cur[:, :, 1:] = masks
+        M = np.repeat(ones[:, :, None], n_max, axis=2)
     else:
-        for j in range(1, n_max + 1):
-            shifted = prev_value << _U1
-            if multi_word:
-                shifted[1:] |= prev_value[:-1] >> _U63
-            value = ((shifted & ones) | masks[:, :, j - 1]) & partial[:, :, j - 1]
-            R_cur[:, :, j] = value
-            prev_value = value
+        np.bitwise_and(masks, partial, out=R_cur[:, :, 1:])
+        M = ones[:, :, None] & partial
+    # M[:, :, j - 1] belongs to column j (column 0 has no map).
+    o = 1
+    while o <= n_max and o < lane_bits:
+        carried = _shl_words(R_cur[:, :, : n_max + 1 - o], o)
+        carried &= M[:, :, o - 1 :]
+        R_cur[:, :, o:] |= carried
+        if 2 * o <= n_max and 2 * o < lane_bits:
+            M[:, :, 2 * o - 1 :] &= _shl_words(M[:, :, o - 1 : n_max - o], o)
+        o *= 2
 
 
 def _tb_gather_numpy(
@@ -179,8 +219,9 @@ _NUMPY_KERNELS = KernelSet(
 
 
 # --------------------------------------------------------------------------- #
-# Numba twins: same arithmetic as the NumPy loops, expressed as explicit
-# per-lane/per-word integer loops (the shape @njit compiles best).
+# Numba twins: the same results as the NumPy kernels, computed with the
+# plain per-column recurrence as explicit per-lane/per-word integer loops
+# (the shape @njit compiles best).
 # --------------------------------------------------------------------------- #
 _NUMBA_KERNELS: Optional[KernelSet] = None
 

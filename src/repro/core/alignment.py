@@ -10,11 +10,11 @@ memory-footprint and memory-access experiments (E3/E4).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.cigar import Cigar, CigarOp
 
-__all__ = ["Alignment", "pretty_alignment"]
+__all__ = ["Alignment", "checked_pairs", "pretty_alignment"]
 
 
 @dataclass
@@ -180,3 +180,21 @@ def pretty_alignment(alignment: Alignment, width: int = 60) -> str:
         lines.append("T " + "".join(txt_row[start:end]))
         lines.append("")
     return "\n".join(lines).rstrip()
+
+
+def checked_pairs(pairs: Iterable[Tuple[str, str]]) -> List[Tuple[str, str]]:
+    """``pairs`` as a list of ``(pattern, text)`` tuples of ``str``.
+
+    Raises :class:`TypeError` naming the first pair whose pattern or text
+    is not a ``str``, so a bad input fails at the entry point instead of
+    deep inside a wave (or on a service's dispatch thread).
+    """
+    checked = []
+    for index, (pattern, text) in enumerate(pairs):
+        if not isinstance(pattern, str) or not isinstance(text, str):
+            raise TypeError(
+                f"pair {index}: pattern and text must be str, got "
+                f"{type(pattern).__name__} and {type(text).__name__}"
+            )
+        checked.append((pattern, text))
+    return checked

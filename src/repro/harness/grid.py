@@ -11,9 +11,10 @@ not a script):
   with execution backends, GenASM window sizes and wave sizes.  Build one
   in code or from a plain dict/JSON via :meth:`ExperimentGrid.from_dict`.
 * :class:`GridRunner` — executes every cell of the grid, checks each
-  cell's alignments against the vectorized reference path (the registry's
-  equivalence contract — a fast cell that returns different CIGARs is a
-  bug, not a win), and appends one provenance-stamped row per cell
+  cell's alignments against the serial
+  :class:`~repro.core.aligner.GenASMAligner` (the registry's equivalence
+  contract — a fast cell that returns different CIGARs is a bug, not a
+  win), and appends one provenance-stamped row per cell
   (date, git SHA, config fingerprint) to a ``BENCH_*.json`` trajectory
   through :class:`repro.telemetry.bench.BenchRecorder`.
 * the **gate** — a grid may declare a throughput ratio between two of its
@@ -47,6 +48,7 @@ from itertools import product
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
+from repro.core.aligner import GenASMAligner
 from repro.core.alignment import Alignment
 from repro.core.config import GenASMConfig
 from repro.harness.dataset import AlignmentWorkload, build_paper_dataset
@@ -231,13 +233,14 @@ class GridRunner:
         return self._workloads[name]
 
     def _reference(self, cell: GridCell, config: GenASMConfig) -> List[Alignment]:
-        """Vectorized-path alignments for equivalence checking."""
+        """Serial-aligner alignments for equivalence checking."""
         key = (cell.workload, cell.window_size)
         if key not in self._references:
-            from repro.batch.engine import BatchAlignmentEngine
-
-            engine = BatchAlignmentEngine(config, name=f"{self.grid.name}-reference")
-            self._references[key] = engine.align_pairs(self._workload(cell.workload).pairs)
+            aligner = GenASMAligner(config)
+            self._references[key] = [
+                aligner.align(pattern, text)
+                for pattern, text in self._workload(cell.workload).pairs
+            ]
         return self._references[key]
 
     def _run_cell(
@@ -276,7 +279,7 @@ class GridRunner:
 
         Each row carries the cell's axis values, pair count, wall seconds,
         ``pairs_per_second``, mean alignment identity and the
-        ``identical`` equivalence flag against the vectorized reference.
+        ``identical`` equivalence flag against the serial reference.
         With ``append`` (default) rows are also written to the grid's
         history through the recorder, provenance-stamped; ``save``
         persists the bench file afterwards.

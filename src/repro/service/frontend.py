@@ -53,6 +53,7 @@ from collections import deque
 from concurrent.futures import Future
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
+from repro.core.alignment import checked_pairs
 from repro.core.config import GenASMConfig
 from repro.pipeline.alignstage import AlignStage
 from repro.pipeline.batcher import WaveAccumulator
@@ -262,13 +263,7 @@ class AlignmentService:
         or text is not a ``str`` raises :class:`TypeError` here, before
         anything is queued, so it can never reach a shared wave.
         """
-        pairs = [(pattern, text) for pattern, text in pairs]
-        for index, (pattern, text) in enumerate(pairs):
-            if not isinstance(pattern, str) or not isinstance(text, str):
-                raise TypeError(
-                    f"pair {index}: pattern and text must be str, got "
-                    f"{type(pattern).__name__} and {type(text).__name__}"
-                )
+        pairs = checked_pairs(pairs)
         with self._wake:
             if self._closed:
                 raise RuntimeError("service already closed")

@@ -350,6 +350,23 @@ class TestCaseNormalisation:
         assert GenASMAligner().edit_distance(pattern, pattern.lower()) == 0
 
 
+class TestPairTypeCheck:
+    """A non-str sequence fails at ``align_pairs``, naming its pair."""
+
+    @pytest.mark.parametrize("bad", [None, 42, b"ACGT"])
+    @pytest.mark.parametrize("side", ["pattern", "text"])
+    def test_rejected_before_any_wave(self, monkeypatch, bad, side):
+        import repro.batch.engine as engine_module
+
+        def no_wave(*args, **kwargs):
+            raise AssertionError("a wave ran before the type check")
+
+        monkeypatch.setattr(engine_module, "run_dc_wave_state", no_wave)
+        bad_pair = (bad, "ACGT") if side == "pattern" else ("ACGT", bad)
+        with pytest.raises(TypeError, match=rf"pair 1: .*{type(bad).__name__}"):
+            BatchAlignmentEngine().align_pairs([("ACGT", "ACGT"), bad_pair])
+
+
 class TestWarpModel:
     def test_lockstep_stats(self):
         stats = lockstep_stats([4.0, 1.0, 4.0, 4.0], 2)

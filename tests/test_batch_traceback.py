@@ -18,6 +18,7 @@ import itertools
 import json
 import pathlib
 
+import numpy as np
 import pytest
 
 from repro.batch import (
@@ -51,6 +52,8 @@ PRIORITIES = ["MSDI", "MDIS", "DIMS", "ISDM"]
 #: Window widths spanning 1, 2 and 3 uint64 words per lane, including the
 #: exact single-word boundary (64) and the first multi-word width (65).
 WINDOW_SIZES = [32, 64, 65, 96, 128, 150]
+#: Kernel backends importable here; the numba leg of CI adds the twin.
+KERNEL_BACKENDS_AVAILABLE = ["numpy"] + (["numba"] if HAVE_NUMBA else [])
 
 
 def window_config(window_size: int, **overrides) -> GenASMConfig:
@@ -715,3 +718,47 @@ class TestKernelBackendSeam:
         assert backend in ("numpy", "numba")
         if not HAVE_NUMBA:
             assert backend == "numpy"
+
+    @pytest.mark.parametrize("n_max", [0, 1, 63, 64, 65, 72, 200])
+    @pytest.mark.parametrize("words", [1, 2, 3])
+    def test_dc_scan_matches_column_loop(self, words, n_max):
+        """Every backend's ``dc_scan`` equals a plain per-column loop.
+
+        Sparse masks keep long match chains alive, so the carry through
+        all ``n_max`` columns (and across word boundaries) is exercised;
+        ``ones`` is narrower than the lane wherever ``m < 64 * words``.
+        """
+        gen = np.random.default_rng(1000 * words + n_max)
+        lanes = 6
+
+        def rand_words(*shape):
+            return gen.integers(0, 2**64, size=shape, dtype=np.uint64)
+
+        for m in (1, 37, 64, 65, 150):
+            if m > 64 * words:
+                continue
+            ones = np.zeros((words, lanes), dtype=np.uint64)
+            for w in range(words):
+                bits = min(max(m - 64 * w, 0), 64)
+                ones[w] = np.uint64((1 << bits) - 1)
+            shape = (words, lanes, n_max)
+            masks = rand_words(*shape) & rand_words(*shape) & rand_words(*shape)
+            for partial in (None, rand_words(*shape) | rand_words(*shape)):
+                R_start = np.zeros((words, lanes, n_max + 1), dtype=np.uint64)
+                R_start[:, :, 0] = rand_words(words, lanes) & ones
+                want = R_start.copy()
+                for j in range(1, n_max + 1):
+                    prev = want[:, :, j - 1]
+                    shifted = prev << np.uint64(1)
+                    shifted[1:] |= prev[:-1] >> np.uint64(63)
+                    value = (shifted & ones) | masks[:, :, j - 1]
+                    if partial is not None:
+                        value &= partial[:, :, j - 1]
+                    want[:, :, j] = value
+                for backend in KERNEL_BACKENDS_AVAILABLE:
+                    got = R_start.copy()
+                    get_kernels(backend).dc_scan(got, ones, masks, partial)
+                    assert np.array_equal(got, want), (
+                        f"{backend} W={words} n_max={n_max} m={m} "
+                        f"partial={partial is not None}"
+                    )

@@ -176,6 +176,23 @@ class TestGridRunner:
         verdict = GridRunner(grid, path).check(rows)
         assert verdict == {"ok": True, "gate": None, "non_identical": 0}
 
+    def test_vectorized_cell_checked_against_serial(self, bench_path, monkeypatch):
+        """A wrong vectorized CIGAR is caught: the reference is not the engine."""
+        from repro.batch.engine import BatchAlignmentEngine
+        from repro.core.cigar import Cigar
+
+        align_pairs = BatchAlignmentEngine.align_pairs
+
+        def corrupt_first(self, pairs):
+            alignments = align_pairs(self, pairs)
+            alignments[0].cigar = Cigar.from_string(f"{len(alignments[0].pattern)}I")
+            return alignments
+
+        monkeypatch.setattr(BatchAlignmentEngine, "align_pairs", corrupt_first)
+        grid = ExperimentGrid.from_dict(tiny_spec(backends=["vectorized"], gate=None))
+        rows = GridRunner(grid, bench_path).run(append=False)
+        assert rows[0]["identical"] is False
+
     def test_run_without_append_leaves_file_untouched(self, bench_path):
         grid = ExperimentGrid.from_dict(
             tiny_spec(backends=["vectorized"], gate=None)
