@@ -3,8 +3,8 @@
 Benchmarks the per-pair alignment throughput of the improved GenASM CPU
 implementation against the three CPU baselines on the same candidate pairs,
 and reports the speedup rows of experiment E1.  The E1v benchmarks compare
-the batch backends (serial loop vs the vectorized lockstep engine vs a
-multiprocess pool) on the same pairs.
+the batch backends (serial loop vs the vectorized lockstep engine) on the
+same pairs.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import pytest
 
 from repro.baselines.edlib_like import EdlibLikeAligner
 from repro.baselines.ksw2 import Ksw2Aligner
-from repro.batch import BatchAlignmentEngine
+from repro.batch import BatchAlignmentEngine, lockstep_stats
 from repro.core.aligner import GenASMAligner
 from repro.core.config import GenASMConfig
 from repro.harness.experiments import (
@@ -89,8 +89,8 @@ def test_bench_genasm_vectorized_mixed_lengths(benchmark):
     This is the workload shape the wave scheduler targets: lanes of very
     different window counts, chunked into ``max_lanes``-wide waves.  The
     benchmark reports the lockstep efficiency of the sorted schedule
-    against fifo chunking and spot-checks equivalence against the scalar
-    aligner.
+    against chunking in input order (fifo) and spot-checks equivalence
+    against the scalar aligner.
     """
     import random
 
@@ -109,13 +109,11 @@ def test_bench_genasm_vectorized_mixed_lengths(benchmark):
     result = benchmark.pedantic(engine.align_pairs, args=(pairs,), rounds=2, iterations=1)
     assert len(result) == len(pairs)
 
-    fifo = BatchAlignmentEngine(GenASMConfig(), max_lanes=16, scheduling="fifo")
+    fifo = lockstep_stats([engine.expected_work(len(p)) for p, _ in pairs], 16)
     benchmark.extra_info["lockstep_efficiency_sorted"] = round(
         engine.scheduling_stats(pairs)["efficiency"], 3
     )
-    benchmark.extra_info["lockstep_efficiency_fifo"] = round(
-        fifo.scheduling_stats(pairs)["efficiency"], 3
-    )
+    benchmark.extra_info["lockstep_efficiency_fifo"] = round(fifo["efficiency"], 3)
     scalar = GenASMAligner(GenASMConfig(), name="genasm-improved")
     for index, (pattern, text) in enumerate(pairs[:6]):
         reference = scalar.align(pattern, text)
@@ -125,11 +123,10 @@ def test_bench_genasm_vectorized_mixed_lengths(benchmark):
 
 @pytest.mark.bench
 def test_bench_e1v_batch_backends_table(benchmark, small_workload):
-    """E1v: serial vs vectorized vs 2-process backend throughput rows."""
+    """E1v: serial vs vectorized backend throughput row."""
     rows = benchmark.pedantic(
         run_batched_throughput_experiment,
         args=(small_workload,),
-        kwargs={"workers": 2},
         rounds=1,
         iterations=1,
     )

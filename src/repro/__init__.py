@@ -49,7 +49,7 @@ Quickstart::
     print(aln.edit_distance, aln.cigar)
 """
 
-from repro.batch import BatchAlignmentEngine, align_pairs_vectorized
+from repro.batch import BatchAlignmentEngine
 from repro.core.aligner import GenASMAligner, align_pair
 from repro.core.alignment import Alignment
 from repro.core.cigar import Cigar, CigarOp
@@ -65,7 +65,6 @@ __all__ = [
     "CigarOp",
     "align_pair",
     "BatchAlignmentEngine",
-    "align_pairs_vectorized",
     "BatchExecutor",
     "StreamingPipeline",
     "MappedAlignment",

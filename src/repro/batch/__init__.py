@@ -7,8 +7,8 @@ with windows wider than one machine word vectorize too) — replacing the
 per-pair Python-int hot loop for batch workloads.  Results are
 byte-identical to the scalar path in :mod:`repro.core`.
 
-* :class:`BatchAlignmentEngine` / :func:`align_pairs_vectorized` — batch
-  aligner producing :class:`repro.core.alignment.Alignment` objects.
+* :class:`BatchAlignmentEngine` — batch aligner producing
+  :class:`repro.core.alignment.Alignment` objects.
 * :func:`run_dc_wave_state` / :class:`SoAWave` / :class:`LaneJob` — the
   lockstep GenASM-DC kernel and its lane layout.  The returned
   :class:`WaveDCState` keeps the rows in SoA layout;
@@ -50,10 +50,8 @@ that mask dense on mixed-length batches.
 """
 
 from repro.batch.engine import (
-    SCHEDULING_POLICIES,
     BatchAlignmentEngine,
     WaveDCState,
-    align_pairs_vectorized,
     run_dc_wave_state,
 )
 from repro.batch.soa import LaneJob, SoAWave, lane_words, lockstep_stats
@@ -67,9 +65,7 @@ from repro.batch.traceback import (
 __all__ = [
     "BatchAlignmentEngine",
     "WaveDCState",
-    "align_pairs_vectorized",
     "run_dc_wave_state",
-    "SCHEDULING_POLICIES",
     "LaneJob",
     "SoAWave",
     "lane_words",

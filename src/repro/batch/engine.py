@@ -86,12 +86,7 @@ __all__ = [
     "BatchAlignmentEngine",
     "WaveDCState",
     "run_dc_wave_state",
-    "align_pairs_vectorized",
-    "SCHEDULING_POLICIES",
 ]
-
-#: Wave-scheduling policies accepted by :class:`BatchAlignmentEngine`.
-SCHEDULING_POLICIES = ("sorted", "fifo")
 
 _U1 = np.uint64(1)
 _U0 = np.uint64(0)
@@ -471,16 +466,12 @@ class BatchAlignmentEngine:
         Label attached to produced alignments.
     max_lanes:
         Optional cap on concurrent lanes; larger batches are processed in
-        chunks of this many pairs (bounds wave memory).
-    scheduling:
-        Wave-scheduling policy: ``"sorted"`` (default) orders lanes by
-        expected lockstep work — window count × words per lane
+        chunks of this many pairs (bounds wave memory).  Lanes are ordered
+        by expected lockstep work — window count × words per lane
         (:meth:`expected_work`) — before chunking, so each
         ``max_lanes``-wide chunk runs lanes of similar lifetime in lockstep
-        (returned alignments are always restored to input order);
-        ``"fifo"`` chunks in input order.  The policy never changes any
-        alignment — only the lockstep efficiency of mixed-length batches
-        (see :meth:`scheduling_stats`).
+        (see :meth:`schedule`); returned alignments are always restored to
+        input order.
     """
 
     def __init__(
@@ -489,18 +480,12 @@ class BatchAlignmentEngine:
         *,
         name: str = "genasm-vectorized",
         max_lanes: Optional[int] = None,
-        scheduling: str = "sorted",
     ) -> None:
         self.config = config if config is not None else GenASMConfig()
         self.name = name
         if max_lanes is not None and max_lanes < 1:
             raise ValueError("max_lanes must be at least 1")
-        if scheduling not in SCHEDULING_POLICIES:
-            raise ValueError(
-                f"scheduling must be one of {SCHEDULING_POLICIES}, got {scheduling!r}"
-            )
         self.max_lanes = max_lanes
-        self.scheduling = scheduling
         #: resolved hot-loop backend ("numpy" or "numba"); an explicit
         #: "numba" request without Numba warns once and degrades here
         self.kernel_backend = resolve_kernel_backend(self.config.kernel_backend)
@@ -567,15 +552,12 @@ class BatchAlignmentEngine:
     def schedule(self, pairs: Sequence[Tuple[str, str]]) -> List[int]:
         """Lane order used when chunking ``pairs`` into waves.
 
-        With ``"sorted"`` scheduling, indices are stably ordered by
-        expected lockstep work (:meth:`expected_work`) so lanes of similar
-        lifetime share a chunk — lanes of dissimilar window counts or word
-        widths pad each other's waves (the SIMT warp-divergence cost
-        :func:`repro.batch.soa.lockstep_stats` models).  ``"fifo"`` returns
-        the identity order.
+        Indices are stably ordered by expected lockstep work
+        (:meth:`expected_work`) so lanes of similar lifetime share a chunk —
+        lanes of dissimilar window counts or word widths pad each other's
+        waves (the SIMT warp-divergence cost
+        :func:`repro.batch.soa.lockstep_stats` models).
         """
-        if self.scheduling == "fifo":
-            return list(range(len(pairs)))
         return sorted(
             range(len(pairs)),
             key=lambda index: self.expected_work(len(pairs[index][0])),
@@ -845,7 +827,6 @@ class BatchAlignmentEngine:
             budgets=np.array([p[3] for p in pending], dtype=np.int64),
             priority=config.match_priority,
             active=solved,
-            skip_ahead=config.traceback_skip_ahead,
             kernels=self._kernels,
         )
         stored = state.stored_bytes()
@@ -906,12 +887,3 @@ class BatchAlignmentEngine:
             # Defensive: mirror align_windowed's forward-progress guard.
             s.done = True
 
-
-def align_pairs_vectorized(
-    pairs: Sequence[Tuple[str, str]],
-    config: Optional[GenASMConfig] = None,
-    *,
-    counter: Optional[AccessCounter] = None,
-) -> List[Alignment]:
-    """One-shot convenience wrapper over :class:`BatchAlignmentEngine`."""
-    return BatchAlignmentEngine(config).align_pairs(pairs, counter=counter)

@@ -14,7 +14,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.cigar import Cigar, CigarOp
 
-__all__ = ["Alignment", "checked_pairs", "pretty_alignment"]
+__all__ = ["Alignment", "checked_pair", "checked_pairs", "pretty_alignment"]
 
 
 @dataclass
@@ -182,6 +182,16 @@ def pretty_alignment(alignment: Alignment, width: int = 60) -> str:
     return "\n".join(lines).rstrip()
 
 
+def checked_pair(index: int, pattern, text) -> Tuple[str, str]:
+    """``(pattern, text)``, or :class:`TypeError` naming pair ``index``."""
+    if not isinstance(pattern, str) or not isinstance(text, str):
+        raise TypeError(
+            f"pair {index}: pattern and text must be str, got "
+            f"{type(pattern).__name__} and {type(text).__name__}"
+        )
+    return pattern, text
+
+
 def checked_pairs(pairs: Iterable[Tuple[str, str]]) -> List[Tuple[str, str]]:
     """``pairs`` as a list of ``(pattern, text)`` tuples of ``str``.
 
@@ -189,12 +199,7 @@ def checked_pairs(pairs: Iterable[Tuple[str, str]]) -> List[Tuple[str, str]]:
     is not a ``str``, so a bad input fails at the entry point instead of
     deep inside a wave (or on a service's dispatch thread).
     """
-    checked = []
-    for index, (pattern, text) in enumerate(pairs):
-        if not isinstance(pattern, str) or not isinstance(text, str):
-            raise TypeError(
-                f"pair {index}: pattern and text must be str, got "
-                f"{type(pattern).__name__} and {type(text).__name__}"
-            )
-        checked.append((pattern, text))
-    return checked
+    return [
+        checked_pair(index, pattern, text)
+        for index, (pattern, text) in enumerate(pairs)
+    ]

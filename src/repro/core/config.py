@@ -63,11 +63,6 @@ class GenASMConfig:
         ``"auto"`` (Numba when available).  See
         :mod:`repro.batch.kernels`; the resolved backend is recorded in
         batch-result metadata.
-    traceback_skip_ahead:
-        Consume whole match runs per lockstep traceback step (only
-        effective when ``M`` leads :attr:`match_priority`; byte-identical
-        either way).  Exists as a toggle so the differential harness can
-        sweep it; leave on.
     """
 
     window_size: int = 64
@@ -81,7 +76,6 @@ class GenASMConfig:
     word_bits: int = 64
     match_priority: str = "MSDI"
     kernel_backend: str = "auto"
-    traceback_skip_ahead: bool = True
 
     def __post_init__(self) -> None:
         if self.window_size <= 0:

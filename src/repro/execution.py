@@ -20,32 +20,36 @@ the differential harness pins this across the registry.  What differs is
 backend    copy semantics                 ordering                    traceback path
 ========== ============================== =========================== =============================
 serial     none (in-process loop)         input order                 scalar bitvector walk
-process    pickle per pair                input order (pool map)      scalar bitvector walk
 vectorized none (in-process SoA waves)    input order                 decision-word wave traceback
 shared     shared-memory descriptors      input order (chunk concat)  decision-word wave per worker
 streaming  in-process waves, or shared-   bounded reorder buffer      decision-word wave traceback
            memory descriptors with an     (in order; out-of-order
-           executor                       emission opt-in)
+           executor or workers > 1        emission opt-in)
 service    in-process waves shared        per-request input order     decision-word wave traceback
            across client requests         (futures resolve
            (shared-memory descriptors     independently)
-           with an executor)
+           with an executor or
+           workers > 1)
 ========== ============================== =========================== =============================
+
+:class:`repro.parallel.shm.SharedMemoryExecutor` is the only place worker
+processes start: ``shared`` dispatches to one, and ``streaming`` /
+``service`` dispatch to a caller's executor or, with ``workers > 1``, one
+their align stage builds and closes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Protocol, Sequence, Tuple, runtime_checkable
+from typing import Dict, List, Protocol, Sequence, Tuple, runtime_checkable
 
-from repro.core.alignment import Alignment
+from repro.core.alignment import Alignment, checked_pairs
 from repro.core.config import GenASMConfig
 
 __all__ = [
     "BackendCapabilities",
     "ExecutionBackend",
     "SerialBackend",
-    "ProcessBackend",
     "VectorizedBackend",
     "SharedBackend",
     "StreamingBackend",
@@ -92,7 +96,6 @@ class ExecutionBackend(Protocol):
         config: GenASMConfig,
         *,
         workers: int = 1,
-        chunk_size: int = 32,
         mapper=None,
         executor=None,
     ) -> List[Alignment]:
@@ -117,47 +120,14 @@ class SerialBackend:
         summary="one GenASMAligner applied pair by pair; the ground truth",
     )
 
-    def align_pairs(self, pairs, config, *, workers=1, chunk_size=32, mapper=None, executor=None):
+    def align_pairs(self, pairs, config, *, workers=1, mapper=None, executor=None):
         from repro.core.aligner import GenASMAligner
 
         aligner = GenASMAligner(config)
-        return [aligner.align(pattern, text) for pattern, text in pairs]
+        return [aligner.align(pattern, text) for pattern, text in checked_pairs(pairs)]
 
     def effective_workers(self, workers: int) -> int:
         return 1
-
-
-class ProcessBackend:
-    """Spawn pool that pickles each pair to a private per-worker aligner."""
-
-    name = "process"
-    capabilities = BackendCapabilities(
-        name="process",
-        copy_semantics="pickle per pair (config + both sequences)",
-        ordering="input order (pool map)",
-        traceback="scalar bitvector walk",
-        multiprocess=True,
-        summary="the historical everything-by-value pool; superseded by 'shared'",
-    )
-
-    def align_pairs(self, pairs, config, *, workers=1, chunk_size=32, mapper=None, executor=None):
-        from functools import partial
-        from multiprocessing import get_context
-
-        from repro.parallel.executor import _align_pair_with_config
-
-        if workers == 1:
-            return SerialBackend().align_pairs(pairs, config)
-        ctx = get_context("spawn")
-        with ctx.Pool(workers) as pool:
-            return pool.map(
-                partial(_align_pair_with_config, config),
-                pairs,
-                chunksize=max(1, chunk_size),
-            )
-
-    def effective_workers(self, workers: int) -> int:
-        return workers
 
 
 class VectorizedBackend:
@@ -173,7 +143,7 @@ class VectorizedBackend:
         summary="NumPy lockstep waves in one process; the offline mega-batch path",
     )
 
-    def align_pairs(self, pairs, config, *, workers=1, chunk_size=32, mapper=None, executor=None):
+    def align_pairs(self, pairs, config, *, workers=1, mapper=None, executor=None):
         from repro.batch import BatchAlignmentEngine
 
         return BatchAlignmentEngine(config).align_pairs(pairs)
@@ -202,7 +172,7 @@ class SharedBackend:
         summary="zero-copy wave handoff to a reusable warm pool",
     )
 
-    def align_pairs(self, pairs, config, *, workers=1, chunk_size=32, mapper=None, executor=None):
+    def align_pairs(self, pairs, config, *, workers=1, mapper=None, executor=None):
         from repro.parallel.shm import SharedMemoryExecutor
 
         if executor is not None:
@@ -227,7 +197,8 @@ class StreamingBackend:
     capabilities = BackendCapabilities(
         name="streaming",
         copy_semantics=(
-            "in-process waves; shared-memory descriptors when given an executor"
+            "in-process waves; shared-memory descriptors with an executor "
+            "or workers > 1"
         ),
         ordering="bounded reorder buffer (in order; out-of-order emission opt-in)",
         traceback="decision-word wave traceback",
@@ -235,7 +206,7 @@ class StreamingBackend:
         summary="overlapped ingest/map/align dataflow; pairs flow through waves",
     )
 
-    def align_pairs(self, pairs, config, *, workers=1, chunk_size=32, mapper=None, executor=None):
+    def align_pairs(self, pairs, config, *, workers=1, mapper=None, executor=None):
         from repro.pipeline import StreamingPipeline
 
         pipeline = StreamingPipeline(
@@ -263,7 +234,7 @@ class ServiceBackend:
         name="service",
         copy_semantics=(
             "in-process waves shared across client requests "
-            "(shared-memory descriptors with an executor)"
+            "(shared-memory descriptors with an executor or workers > 1)"
         ),
         ordering="per-request input order (futures resolve independently)",
         traceback="decision-word wave traceback",
@@ -271,7 +242,7 @@ class ServiceBackend:
         summary="multi-tenant request coalescing over the streaming wave core",
     )
 
-    def align_pairs(self, pairs, config, *, workers=1, chunk_size=32, mapper=None, executor=None):
+    def align_pairs(self, pairs, config, *, workers=1, mapper=None, executor=None):
         from repro.service import AlignmentService
 
         with AlignmentService(
@@ -321,7 +292,6 @@ def capability_matrix() -> List[BackendCapabilities]:
 
 for _backend in (
     SerialBackend(),
-    ProcessBackend(),
     VectorizedBackend(),
     SharedBackend(),
     StreamingBackend(),

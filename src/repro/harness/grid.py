@@ -100,8 +100,8 @@ class ExperimentGrid:
         Execution backends to sweep (``serial``/``vectorized``/
         ``streaming``/... — any :mod:`repro.execution` registry name).
         ``wave_size`` reaches the vectorized engine as ``max_lanes`` and
-        the streaming pipeline as its accumulator wave size; backends
-        without a wave concept (``serial``, ``process``) record the axis
+        the streaming pipeline as its accumulator wave size; the other
+        backends (``serial``, ``shared``, ``service``) record the axis
         value but execute identically across it.
     window_sizes:
         GenASM ``window_size`` values; each derives a config via

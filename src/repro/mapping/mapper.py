@@ -237,8 +237,8 @@ class Mapper:
         aligner half: the candidate regions produced by seed-and-chain are
         gathered into one batch of (pattern, text) pairs and dispatched
         through the :mod:`repro.execution` backend registry.  ``backend``
-        names any registered backend (``serial``/``process``/
-        ``vectorized``/``shared``/``streaming`` today); all of them produce
+        names any registered backend (``serial``/``vectorized``/
+        ``shared``/``streaming``/``service`` today); all of them produce
         identical alignments.  ``workers`` only takes effect on the
         multiprocess backends, and ``executor`` threads a reusable
         :class:`repro.parallel.shm.SharedMemoryExecutor` into the backends

@@ -1,23 +1,18 @@
 """Batch execution utilities for the CPU evaluation.
 
-:class:`BatchExecutor` runs alignment batches through the
-:mod:`repro.execution` backend registry — ``serial`` (Python loop),
-``process`` (pickle-per-pair spawn pool), ``vectorized`` (the lockstep SoA
-engine from :mod:`repro.batch`), ``shared`` (zero-copy shared-memory pool,
-:mod:`repro.parallel.shm`) and ``streaming`` (the wave pipeline) — all of
-which produce identical alignments for the same pairs and config.
-:class:`SharedMemoryExecutor` is the warm pool behind ``shared``: it hosts
-the reference genome and minimizer index in shared segments built once and
-ships waves as descriptors, not arrays.
+:class:`BatchExecutor` times alignment batches on any backend of the
+:mod:`repro.execution` registry — ``serial`` (Python loop), ``vectorized``
+(the lockstep SoA engine from :mod:`repro.batch`), ``shared`` (zero-copy
+shared-memory pool, :mod:`repro.parallel.shm`), ``streaming`` (the wave
+pipeline) and ``service`` (the multi-tenant front-end) — all of which
+produce identical alignments for the same pairs and config.
+:class:`SharedMemoryExecutor` is the one place worker processes start: it
+hosts the reference genome and minimizer index in shared segments built
+once and ships waves as descriptors, not arrays, for the ``shared``
+backend and for the pipeline's and service's multi-process align stage.
 """
 
-from repro.parallel.executor import (
-    BACKENDS,
-    BatchExecutor,
-    BatchResult,
-    Stopwatch,
-    chunk_items,
-)
+from repro.parallel.executor import BatchExecutor, BatchResult, Stopwatch
 from repro.parallel.shm import (
     SegmentLayout,
     SharedGenome,
@@ -27,7 +22,6 @@ from repro.parallel.shm import (
 )
 
 __all__ = [
-    "BACKENDS",
     "BatchExecutor",
     "BatchResult",
     "SegmentLayout",
@@ -36,5 +30,4 @@ __all__ = [
     "SharedMinimizerIndex",
     "SharedSegment",
     "Stopwatch",
-    "chunk_items",
 ]

@@ -1,12 +1,11 @@
 """Shared-memory execution: ship descriptors between processes, not arrays.
 
-The historical ``process`` backend and the PR-3 align-stage pool pickle
-their entire payload into every spawn worker — sequence pairs per task,
-and (for mapping) nothing at all, because the reference genome and
-:class:`~repro.mapping.index.MinimizerIndex` were too expensive to ship,
-which is why mapping stayed on GIL-bound threads.  This module inverts
-that, the way the paper's GPU design keeps wave state resident and moves
-*work*:
+A pool that pickles its payload into every spawn worker ships sequence
+pairs per task and — for mapping — nothing at all, because the reference
+genome and :class:`~repro.mapping.index.MinimizerIndex` are too expensive
+to ship, so mapping would stay on GIL-bound threads.  This module is the
+one place this library starts worker processes, and it inverts that, the
+way the paper's GPU design keeps wave state resident and moves *work*:
 
 * **Segments** (:class:`SharedSegment`) own one
   :mod:`multiprocessing.shared_memory` block with a deterministic
@@ -24,8 +23,9 @@ that, the way the paper's GPU design keeps wave state resident and moves
   workers hold an attached genome + index + a warm
   :class:`~repro.batch.engine.BatchAlignmentEngine`.  Waves are submitted
   as pair-block layouts (:func:`pack_pairs`), mapping tasks as bare read
-  records; both the streaming pipeline's map and align stages and the
-  ``shared`` batch backend (:mod:`repro.execution`) dispatch through it.
+  records; the streaming pipeline's and the service's map and align
+  stages and the ``shared`` batch backend (:mod:`repro.execution`) all
+  dispatch through it.
 
 Alignments still return by pickle — results are small and owned by the
 caller — and both sides of every handoff stay byte-identical to the
@@ -42,6 +42,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.batch.soa import _unregister_attachment
+from repro.core.alignment import checked_pairs
 
 __all__ = [
     "SharedSegment",
@@ -686,8 +687,11 @@ class SharedMemoryExecutor:
         :class:`SegmentLayout` crosses the process boundary.  The segment
         is unlinked automatically when the wave completes (or fails, or is
         cancelled) — :meth:`close` sweeps any still outstanding.
-        ``wave_id`` labels the wave in worker-side trace spans.
+        ``wave_id`` labels the wave in worker-side trace spans.  A pair
+        whose pattern or text is not a ``str`` raises :class:`TypeError`
+        before anything is packed.
         """
+        pairs = checked_pairs(pairs)
         self.start()
         traced = self.tracer.enabled
         meta = {"wave_id": wave_id} if wave_id is not None else None
@@ -738,9 +742,12 @@ class SharedMemoryExecutor:
 
         The batch is split into ``workers`` contiguous chunks, each
         dispatched as one wave, and the per-chunk results concatenated —
-        order in, order out, byte-identical to the in-process engine.
+        order in, order out, byte-identical to the in-process engine.  A
+        pair whose pattern or text is not a ``str`` raises
+        :class:`TypeError` (naming its input index) before any wave is
+        dispatched.
         """
-        pairs = list(pairs)
+        pairs = checked_pairs(pairs)
         if not pairs:
             return []
         self.start()

@@ -4,8 +4,8 @@ The offline harness runs the paper's pipeline in strict phases — simulate
 or load every read, map every read to its candidate list, then push one
 materialised pair list through
 :meth:`repro.parallel.executor.BatchExecutor.run_alignments`.  Nothing
-aligns until everything has mapped, and the ``process`` backend re-builds
-a scalar aligner per worker.  This package is the streaming counterpart:
+aligns until everything has mapped.  This package is the streaming
+counterpart:
 
 * :mod:`~repro.pipeline.ingest` — lazy read records from simulators,
   iterables or FASTA/FASTQ files (:func:`stream_reads`);
@@ -16,9 +16,9 @@ a scalar aligner per worker.  This package is the streaming counterpart:
   expected-work grouping with a ``max_pending`` backpressure bound and
   flush-on-size / flush-on-timeout (:class:`WaveAccumulator`);
 * :mod:`~repro.pipeline.alignstage` — wave-granular dispatch to
-  :class:`repro.batch.BatchAlignmentEngine`, optionally sharded across
-  spawn processes that receive pre-built wave inputs
-  (:class:`AlignStage`);
+  :class:`repro.batch.BatchAlignmentEngine`, optionally sharded across a
+  :class:`repro.parallel.shm.SharedMemoryExecutor` whose workers receive
+  each wave as a shared-memory descriptor (:class:`AlignStage`);
 * :mod:`~repro.pipeline.stats` — per-stage wall time, queue occupancy and
   wave fill efficiency (:class:`PipelineStats`);
 * :mod:`~repro.pipeline.pipeline` — the driver

@@ -1,21 +1,18 @@
 """Align stage: dispatch pre-built waves to the vectorized engine.
 
 With ``workers == 1`` each wave runs on an in-process
-:class:`repro.batch.BatchAlignmentEngine`.  With ``workers > 1`` waves are
-sharded across a spawn-context process pool: each worker receives the
-(picklable) config plus the wave's pre-built (pattern, text) pairs and runs
-the engine on exactly that wave — unlike the historical ``process`` backend
-of :class:`repro.parallel.executor.BatchExecutor`, which shipped individual
-pairs and rebuilt a scalar aligner per worker, workers here execute whole
-lockstep waves, so the vectorized path and multiprocessing compose instead
-of competing.  With an ``executor``
-(:class:`repro.parallel.shm.SharedMemoryExecutor`) the pickling goes away
-too: each wave is packed into a shared-memory segment and only its layout
-descriptor crosses the process boundary, into workers holding warm,
-already-constructed engines.  Short-read (``window_size > 64``)
-configurations dispatch the same way: the engine's multi-word lanes mean
-no per-wave scalar fallback, and the accumulator feeding this stage groups
-lanes by the engine's windows × words/lane cost model
+:class:`repro.batch.BatchAlignmentEngine`.  Otherwise waves go to a
+:class:`repro.parallel.shm.SharedMemoryExecutor`: each wave is packed into
+a shared-memory segment and only its layout descriptor crosses the process
+boundary, into workers holding warm, already-constructed engines — workers
+execute whole lockstep waves, so the vectorized path and multiprocessing
+compose instead of competing.  The executor is either caller-provided
+(and left running by :meth:`AlignStage.close`) or, for ``workers > 1``
+without one, built on the first multi-process wave and owned by the
+stage.  Short-read (``window_size > 64``) configurations dispatch the same
+way: the engine's multi-word lanes mean no per-wave scalar fallback, and
+the accumulator feeding this stage groups lanes by the engine's windows ×
+words/lane cost model
 (:meth:`repro.batch.BatchAlignmentEngine.expected_work`).
 
 Results are collected in wave submission order behind a bounded in-flight
@@ -36,18 +33,6 @@ from repro.telemetry.trace import get_tracer
 __all__ = ["AlignStage"]
 
 
-def _align_wave(
-    config: GenASMConfig, engine_kwargs: dict, pairs: List[Tuple[str, str]]
-) -> List[Alignment]:
-    """Process-pool worker: align one pre-built wave with a fresh engine.
-
-    Module-level so it pickles under the multiprocessing spawn context;
-    only the config, the engine options and the wave's sequence pairs cross
-    the process boundary.
-    """
-    return BatchAlignmentEngine(config, **engine_kwargs).align_pairs(pairs)
-
-
 class AlignStage:
     """Submit/collect interface over wave-granular alignment execution.
 
@@ -59,27 +44,29 @@ class AlignStage:
     config:
         Aligner configuration shared by every wave.
     workers:
-        ``1`` aligns in-process; ``> 1`` shards waves across that many
-        spawn processes.
+        ``1`` aligns in-process; ``> 1`` without an ``executor`` shards
+        waves across a :class:`~repro.parallel.shm.SharedMemoryExecutor`
+        of that many processes, built on the first wave and shut down by
+        :meth:`close`.
     inflight:
         Maximum waves in flight before :meth:`submit` blocks on the oldest
         (defaults to ``2 * workers``).
     executor:
         Optional started-or-startable
         :class:`repro.parallel.shm.SharedMemoryExecutor`; when given,
-        waves are dispatched to it as shared-memory descriptors instead of
-        pickled pairs.  The executor stays caller-owned: :meth:`close`
-        does not shut it down, so one warm pool can serve many runs.  Its
-        config must equal this stage's.
-    max_lanes, scheduling, name:
-        Forwarded to :class:`BatchAlignmentEngine`.
+        waves are dispatched to it as shared-memory descriptors.  The
+        executor stays caller-owned: :meth:`close` does not shut it down,
+        so one warm pool can serve many runs.  Its config must equal this
+        stage's.
+    max_lanes, name:
+        Forwarded to :class:`BatchAlignmentEngine` (and to the workers'
+        engines of a stage-owned executor).
     tracer:
         Optional :class:`~repro.telemetry.trace.Tracer`.  Each submitted
         wave gets a monotonically increasing ``wave_id`` and an
         ``align.wave`` span (in-process execution) or an
-        ``align.dispatch`` span (the handoff to a pool or shared-memory
-        executor; the executor's own tracer covers worker-side
-        execution).
+        ``align.dispatch`` span (the handoff to the shared-memory
+        executor; the executor's tracer covers worker-side execution).
     """
 
     def __init__(
@@ -90,7 +77,6 @@ class AlignStage:
         inflight: Optional[int] = None,
         executor=None,
         max_lanes: Optional[int] = None,
-        scheduling: str = "sorted",
         name: str = "genasm-streaming",
         tracer=None,
     ) -> None:
@@ -103,11 +89,7 @@ class AlignStage:
         self.workers = workers
         self.executor = executor
         self.inflight = inflight if inflight is not None else max(2, 2 * workers)
-        self._engine_kwargs = {
-            "max_lanes": max_lanes,
-            "scheduling": scheduling,
-            "name": name,
-        }
+        self._engine_kwargs = {"max_lanes": max_lanes, "name": name}
         # The in-process engine also validates config/options eagerly for
         # the sharded mode, so bad options fail at construction, not in a
         # worker traceback.
@@ -117,7 +99,7 @@ class AlignStage:
                 "shared-memory executor was built with a different config "
                 "than this align stage"
             )
-        self._pool = None
+        self._owns_executor = False
         self._window = InflightWindow(self.inflight)
         self.tracer = get_tracer(tracer)
         #: Waves submitted so far; also the next wave's ``wave_id``.
@@ -138,27 +120,23 @@ class AlignStage:
         pairs = [(item.pattern, item.text) for item in wave]
         wave_id = self.waves_submitted
         self.waves_submitted += 1
-        if self.executor is not None:
-            with self.tracer.span("align.dispatch", wave_id=wave_id, lanes=len(pairs)):
-                future = self.executor.submit_wave(pairs, wave_id=wave_id)
-            self._window.append(list(wave), future)
-            return
-        if self.workers == 1:
+        if self.executor is None and self.workers == 1:
             with self.tracer.span("align.wave", wave_id=wave_id, lanes=len(pairs)):
                 alignments = self.engine.align_pairs(pairs)
             self._window.append(list(wave), alignments)
             return
-        if self._pool is None:
-            from concurrent.futures import ProcessPoolExecutor
-            from multiprocessing import get_context
+        if self.executor is None:
+            from repro.parallel.shm import SharedMemoryExecutor
 
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.workers, mp_context=get_context("spawn")
+            self.executor = SharedMemoryExecutor(
+                self.workers,
+                config=self.config,
+                engine_kwargs=self._engine_kwargs,
+                tracer=self.tracer,
             )
+            self._owns_executor = True
         with self.tracer.span("align.dispatch", wave_id=wave_id, lanes=len(pairs)):
-            future = self._pool.submit(
-                _align_wave, self.config, self._engine_kwargs, pairs
-            )
+            future = self.executor.submit_wave(pairs, wave_id=wave_id)
         self._window.append(list(wave), future)
 
     def collect(self, *, block: bool = False) -> List[Tuple[List, List[Alignment]]]:
@@ -183,11 +161,10 @@ class AlignStage:
         return self.collect(block=True)
 
     def close(self) -> None:
-        """Shut down the stage's own process pool (if one was created).
+        """Shut down the executor this stage built (if it built one).
 
         A caller-provided shared-memory executor is deliberately left
         running — its pool and hosted segments outlive individual runs.
         """
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
+        if self._owns_executor:
+            self.executor.close()

@@ -3,7 +3,7 @@
 The vectorized engine amortises interpreter overhead across wave width, so
 the pipeline wants waves as full — and as uniform in per-lane work — as
 possible, without stalling forever waiting for lanes.  The accumulator
-implements the PR-2 sorted-scheduling policy incrementally:
+applies the engine's work-sorted wave order incrementally:
 
 * items buffer up to ``max_pending`` (the backpressure bound);
 * when the buffer hits the bound, complete ``wave_size`` waves are cut
@@ -34,7 +34,6 @@ from __future__ import annotations
 import time
 from typing import Callable, List, Optional, Sequence
 
-from repro.batch.engine import SCHEDULING_POLICIES
 from repro.pipeline.stats import PipelineStats
 from repro.telemetry.trace import get_tracer
 
@@ -50,21 +49,20 @@ class WaveAccumulator:
         Target lanes per dispatched wave.
     max_pending:
         Backpressure bound: a push that fills the buffer to this size
-        flushes waves.  Larger values give the sorted policy a deeper pool
+        flushes waves.  Larger values give the work-ordered cut a deeper pool
         to cut uniform waves from (at the cost of latency and memory).
     linger_seconds:
         Flush everything pending once the oldest buffered item is this old
         (checked at push time).  ``None`` disables the timeout.
-    scheduling:
-        ``"sorted"`` (work-ordered waves) or ``"fifo"`` (arrival order) —
-        the same policies :class:`repro.batch.BatchAlignmentEngine` accepts.
     merge_below:
         Partial-drain tail merging: when a drain cuts several waves and
         the trailing one has fewer than this many lanes, it is folded into
         the preceding wave.  Defaults to ``wave_size // 2``; ``0``
         disables merging.
     work_key:
-        Expected-work estimate per item used by the sorted policy.
+        Expected-work estimate per item; waves are cut in stable
+        ``work_key`` order.  The default key is constant, so waves then
+        keep arrival order.
     clock:
         Monotonic time source (injectable for deterministic timeout tests).
     stats:
@@ -81,7 +79,6 @@ class WaveAccumulator:
         wave_size: int = 64,
         max_pending: int = 256,
         linger_seconds: Optional[float] = None,
-        scheduling: str = "sorted",
         merge_below: Optional[int] = None,
         work_key: Optional[Callable[[object], float]] = None,
         clock: Callable[[], float] = time.monotonic,
@@ -94,16 +91,11 @@ class WaveAccumulator:
             raise ValueError("max_pending must be at least 1")
         if linger_seconds is not None and linger_seconds < 0:
             raise ValueError("linger_seconds must be non-negative")
-        if scheduling not in SCHEDULING_POLICIES:
-            raise ValueError(
-                f"scheduling must be one of {SCHEDULING_POLICIES}, got {scheduling!r}"
-            )
         if merge_below is not None and merge_below < 0:
             raise ValueError("merge_below must be non-negative")
         self.wave_size = wave_size
         self.max_pending = max_pending
         self.linger_seconds = linger_seconds
-        self.scheduling = scheduling
         self.merge_below = merge_below if merge_below is not None else wave_size // 2
         self.work_key = work_key if work_key is not None else (lambda item: 0.0)
         self.clock = clock
@@ -192,8 +184,6 @@ class WaveAccumulator:
 
     # ------------------------------------------------------------------ #
     def _order(self) -> List[int]:
-        if self.scheduling == "fifo":
-            return list(range(len(self._pending)))
         return sorted(
             range(len(self._pending)),
             key=lambda index: (self.work_key(self._pending[index]), index),

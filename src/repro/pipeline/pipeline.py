@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
-from repro.core.alignment import Alignment
+from repro.core.alignment import Alignment, checked_pair
 from repro.core.config import GenASMConfig
 from repro.mapping.mapper import CandidateMapping, Mapper
 from repro.pipeline.alignstage import AlignStage
@@ -92,11 +92,11 @@ class StreamingPipeline:
         :class:`~repro.pipeline.batcher.WaveAccumulator`).
     linger_seconds:
         Accumulator flush timeout; ``None`` disables it.
-    scheduling:
-        Wave grouping policy, ``"sorted"`` or ``"fifo"``.
     map_workers / align_workers:
         Thread count of the map stage / process count of the align stage
-        (1 = inline, deterministic, dependency-free).
+        (1 = inline, deterministic, dependency-free; ``align_workers > 1``
+        without an ``executor`` runs waves on a shared-memory executor the
+        align stage builds and shuts down per run).
     align_inflight:
         Bound on waves in flight in the align stage.
     executor:
@@ -147,7 +147,6 @@ class StreamingPipeline:
         wave_size: int = 128,
         max_pending: int = 512,
         linger_seconds: Optional[float] = None,
-        scheduling: str = "sorted",
         map_workers: int = 1,
         align_workers: int = 1,
         align_inflight: Optional[int] = None,
@@ -168,7 +167,6 @@ class StreamingPipeline:
         self.wave_size = wave_size
         self.max_pending = max_pending
         self.linger_seconds = linger_seconds
-        self.scheduling = scheduling
         self.map_workers = map_workers
         self.align_workers = align_workers
         self.align_inflight = align_inflight
@@ -193,13 +191,12 @@ class StreamingPipeline:
             inflight=self.align_inflight,
             executor=self.executor,
             max_lanes=None,
-            scheduling=self.scheduling,
             name=self.name,
             tracer=self.tracer,
         )
 
     def _build_accumulator(self, stats: PipelineStats, align: AlignStage) -> WaveAccumulator:
-        # The sorted policy groups lanes by the same expected-work model the
+        # Waves group lanes by the same expected-work model the
         # engine's own scheduler sorts by — window count × words per lane,
         # so wide-window (short-read) configs group narrow fragments away
         # from full multi-word lanes; reuse the align stage's in-process
@@ -209,7 +206,6 @@ class StreamingPipeline:
             wave_size=self.wave_size,
             max_pending=self.max_pending,
             linger_seconds=self.linger_seconds,
-            scheduling=self.scheduling,
             work_key=lambda work: float(engine.expected_work(len(work.pattern))),
             stats=stats,
             tracer=self.tracer,
@@ -284,12 +280,13 @@ class StreamingPipeline:
         :meth:`repro.parallel.executor.BatchExecutor.run_alignments`:
         identical results in identical order, but pairs flow through the
         wave accumulator and (optionally sharded) align stage instead of
-        one monolithic engine call.
+        one monolithic engine call.  A pair whose pattern or text is not a
+        ``str`` raises :class:`TypeError` naming its input ordinal.
         """
         stats = PipelineStats(wave_size=self.wave_size)
         self.stats = stats
         works = (
-            CandidateWork(order, None, None, pattern, text)
+            CandidateWork(order, None, None, *checked_pair(order, pattern, text))
             for order, (pattern, text) in enumerate(pairs)
         )
         mapped = list(self._execute(works, stats))

@@ -127,7 +127,7 @@ class AlignmentService:
     config:
         Aligner configuration shared by every request (defaults to the
         paper's improved GenASM).
-    wave_size, max_pending, linger_seconds, scheduling:
+    wave_size, max_pending, linger_seconds:
         Wave-coalescing policy, forwarded to the
         :class:`WaveAccumulator`.  ``linger_seconds`` bounds how long the
         first pair of a partial wave waits for co-tenants before the wave
@@ -138,8 +138,10 @@ class AlignmentService:
         once.  Defaults to ``2 * wave_size``; ``0`` disables the limit.
     workers, align_inflight, executor:
         Alignment execution, forwarded to :class:`AlignStage` — in-process
-        (``workers=1``), a spawn pool, or a shared-memory executor (whose
-        config must match).  A caller-provided executor stays caller-owned.
+        (``workers=1``), or a shared-memory executor: the caller's (whose
+        config must match, and which stays caller-owned) or, for
+        ``workers > 1`` without one, an executor the align stage builds and
+        :meth:`close` shuts down.
     registry:
         Optional :class:`ReferenceRegistry` for :meth:`submit_reads`; the
         service builds (and then owns) one on demand when not given.
@@ -167,7 +169,6 @@ class AlignmentService:
         wave_size: int = 64,
         max_pending: int = 256,
         linger_seconds: Optional[float] = 0.01,
-        scheduling: str = "sorted",
         merge_below: Optional[int] = None,
         max_inflight_per_tenant: Optional[int] = None,
         workers: int = 1,
@@ -192,7 +193,6 @@ class AlignmentService:
             workers=workers,
             inflight=align_inflight,
             executor=executor,
-            scheduling=scheduling,
             name=name,
             tracer=self.tracer,
         )
@@ -201,7 +201,6 @@ class AlignmentService:
             wave_size=wave_size,
             max_pending=max_pending,
             linger_seconds=linger_seconds,
-            scheduling=scheduling,
             merge_below=merge_below,
             work_key=lambda work: float(engine.expected_work(len(work.pattern))),
             clock=clock,

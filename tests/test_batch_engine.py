@@ -1,10 +1,9 @@
-"""Tests for the vectorized batch engine, the repaired batch executor and
-the degenerate-input windowing paths.
+"""Tests for the vectorized batch engine, the batch executor and the
+degenerate-input windowing paths.
 
-The central contract (the PR's acceptance criterion): the vectorized
-lockstep engine produces byte-identical CIGARs and edit distances to the
-scalar path on the simulated-read corpus, and a 2-worker
-``BatchExecutor.run_pairs`` call completes without error.
+The central contract: the vectorized lockstep engine produces
+byte-identical CIGARs and edit distances to the scalar path on the
+simulated-read corpus, and so does every registered execution backend.
 """
 
 from __future__ import annotations
@@ -18,11 +17,10 @@ from repro.batch import (
     BatchAlignmentEngine,
     LaneJob,
     SoAWave,
-    align_pairs_vectorized,
     lockstep_stats,
     run_dc_wave_state,
 )
-from repro.core.aligner import GenASMAligner, align_pair
+from repro.core.aligner import GenASMAligner
 from repro.core.cigar import CigarOp
 from repro.core.config import GenASMConfig
 from repro.core.genasm_dc import genasm_dc
@@ -106,7 +104,7 @@ class TestVectorizedEquivalence:
         scalar_counter = AccessCounter()
         GenASMAligner(config).align_batch(pairs, counter=scalar_counter)
         batch_counter = AccessCounter()
-        align_pairs_vectorized(pairs, config, counter=batch_counter)
+        BatchAlignmentEngine(config).align_pairs(pairs, counter=batch_counter)
         assert batch_counter.as_dict() == scalar_counter.as_dict()
 
     def test_wide_window_config_vectorizes_multi_word(self, rng):
@@ -264,41 +262,37 @@ class TestDegenerateWindowing:
 
 
 class TestBatchExecutor:
-    def test_run_pairs_with_two_workers(self):
-        """Regression: the lambda-based implementation was unpicklable under spawn."""
-        pairs = [("ACGT", "ACGTA"), ("ACCT", "ACGTT"), ("TTTT", "TTAT")]
-        executor = BatchExecutor(workers=2, chunk_size=1)
-        result = executor.run_pairs(align_pair, pairs)
-        assert result.items == 3
-        assert result.workers == 2
-        serial = BatchExecutor(workers=1).run_pairs(align_pair, pairs)
-        for got, want in zip(result.results, serial.results):
-            assert str(got.cigar) == str(want.cigar)
-            assert got.edit_distance == want.edit_distance
-
     def test_run_alignments_backends_identical(self, rng):
         pairs = _random_pairs(rng, [(60, 4), (90, 7)])
         serial = BatchExecutor(backend="serial").run_alignments(pairs)
         vectorized = BatchExecutor(backend="vectorized").run_alignments(pairs)
-        process = BatchExecutor(workers=2, backend="process").run_alignments(pairs)
+        shared = BatchExecutor(workers=2, backend="shared").run_alignments(pairs)
         assert serial.backend == "serial"
         assert vectorized.backend == "vectorized"
-        assert process.backend == "process" and process.workers == 2
-        for batch in (vectorized, process):
+        assert shared.backend == "shared" and shared.workers == 2
+        for batch in (vectorized, shared):
             for got, want in zip(batch.results, serial.results):
                 assert str(got.cigar) == str(want.cigar)
                 assert got.edit_distance == want.edit_distance
-
-    def test_process_backend_with_one_worker_reports_serial(self):
-        result = BatchExecutor(backend="process").run_alignments([("ACG", "ACG")])
-        assert result.backend == "serial"
-        assert result.workers == 1
 
     def test_invalid_backend_rejected(self):
         with pytest.raises(ValueError):
             BatchExecutor(backend="gpu")
         with pytest.raises(ValueError):
             BatchExecutor().run_alignments([("A", "A")], backend="gpu")
+
+    def test_registry_has_one_multiprocess_mechanism(self):
+        assert available_backends() == (
+            "serial",
+            "vectorized",
+            "shared",
+            "streaming",
+            "service",
+        )
+        with pytest.raises(ValueError):
+            get_backend("process")
+        with pytest.raises(ValueError):
+            BatchExecutor(backend="process")
 
     def test_batch_result_speedup_over(self):
         fast = BatchResult(results=[], elapsed_seconds=0.5, items=100)
@@ -366,6 +360,35 @@ class TestPairTypeCheck:
         with pytest.raises(TypeError, match=rf"pair 1: .*{type(bad).__name__}"):
             BatchAlignmentEngine().align_pairs([("ACGT", "ACGT"), bad_pair])
 
+    BAD_AT_5 = [("ACGT", "ACGT")] * 5 + [("ACGT", None)]
+
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_every_backend_names_the_input_index(self, backend):
+        impl = get_backend(backend)
+        workers = 2 if impl.capabilities.multiprocess else 1
+        with pytest.raises(TypeError, match=r"pair 5\b"):
+            impl.align_pairs(self.BAD_AT_5, GenASMConfig(), workers=workers)
+
+    def test_streaming_pipeline_names_the_input_ordinal(self):
+        from repro.pipeline import StreamingPipeline
+
+        with pytest.raises(TypeError, match=r"pair 5\b"):
+            StreamingPipeline(wave_size=2).align_pairs(self.BAD_AT_5)
+
+    def test_shared_memory_executor_rejects_before_dispatch(self):
+        from repro.parallel.shm import SharedMemoryExecutor
+
+        executor = SharedMemoryExecutor(workers=2)
+        try:
+            with pytest.raises(TypeError, match=r"pair 5\b"):
+                executor.run_alignments(self.BAD_AT_5)
+            with pytest.raises(TypeError, match=r"pair 5\b"):
+                executor.submit_wave(self.BAD_AT_5)
+            assert not executor.started
+            assert executor.segment_names() == []
+        finally:
+            executor.close()
+
 
 class TestWarpModel:
     def test_lockstep_stats(self):
@@ -400,15 +423,15 @@ class TestHarnessBatchedExperiment:
         workload = build_paper_dataset(
             read_count=3, read_length=400, seed=5, max_pairs=4
         )
-        rows = run_batched_throughput_experiment(
-            workload, workers=2, include_process=True
+        (row,) = run_batched_throughput_experiment(workload)
+        assert row["id"] == "E1v_vectorized_vs_serial"
+        assert row["identical_results"] is True
+        assert row["measured"] > 0
+        assert row["pairs"] == workload.pair_count
+        assert (
+            row["lockstep_efficiency_sorted"]
+            >= row["lockstep_efficiency_fifo"] - 1e-12
         )
-        by_id = {row["id"]: row for row in rows}
-        assert set(by_id) == {"E1v_vectorized_vs_serial", "E1v_process_vs_serial"}
-        for row in rows:
-            assert row["identical_results"] is True
-            assert row["measured"] > 0
-            assert row["pairs"] == workload.pair_count
 
 
 class TestMapperBatch:

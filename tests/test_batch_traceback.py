@@ -26,6 +26,7 @@ from repro.batch import (
     LaneJob,
     SoAWave,
     build_wave_decisions,
+    lockstep_stats,
     run_dc_wave_state,
 )
 from repro.batch.kernels import (
@@ -248,16 +249,20 @@ class TestMultiWordDifferential:
         assert batch_counter.as_dict() == scalar_counter.as_dict(), context
 
     @pytest.mark.parametrize("window_size", [65, 96, 150])
-    @pytest.mark.parametrize("scheduling", ["sorted", "fifo"])
-    def test_window_widths_across_scheduling(self, rng, window_size, scheduling):
+    @pytest.mark.parametrize("order", ["given", "reversed"])
+    def test_window_widths_chunked(self, rng, window_size, order):
+        # Waves are dispatched in expected-work order; results must still
+        # come back in input order whatever order the input arrives in.
         config = window_config(window_size)
         pairs = window_boundary_pairs(rng, window_size)
-        context = f"window={window_size} scheduling={scheduling}"
+        if order == "reversed":
+            pairs = pairs[::-1]
+        context = f"window={window_size} max_lanes=3 order={order}"
         scalar, scalar_counter = self._scalar_reference(config, pairs)
         batch_counter = AccessCounter()
-        chunked = BatchAlignmentEngine(
-            config, max_lanes=3, scheduling=scheduling
-        ).align_pairs(pairs, counter=batch_counter)
+        chunked = BatchAlignmentEngine(config, max_lanes=3).align_pairs(
+            pairs, counter=batch_counter
+        )
         assert_pairwise_identical(scalar, chunked, context)
         assert batch_counter.as_dict() == scalar_counter.as_dict(), context
 
@@ -442,22 +447,21 @@ class TestWaveScheduling:
         pairs = self._mixed_pairs(rng)
         config = GenASMConfig()
         reference = BatchAlignmentEngine(config).align_pairs(pairs)
-        for scheduling in ("sorted", "fifo"):
-            chunked = BatchAlignmentEngine(
-                config, max_lanes=4, scheduling=scheduling
-            ).align_pairs(pairs)
-            assert_pairwise_identical(reference, chunked, scheduling)
-            for (pattern, text), alignment in zip(pairs, chunked):
-                assert alignment.pattern == pattern
-                assert alignment.text == text
+        chunked = BatchAlignmentEngine(config, max_lanes=4).align_pairs(pairs)
+        assert_pairwise_identical(reference, chunked, "max_lanes=4")
+        for (pattern, text), alignment in zip(pairs, chunked):
+            assert alignment.pattern == pattern
+            assert alignment.text == text
 
     def test_sorted_schedule_improves_lockstep_efficiency(self, rng):
         pairs = self._mixed_pairs(rng)
         config = GenASMConfig()
-        sorted_engine = BatchAlignmentEngine(config, max_lanes=4)
-        fifo_engine = BatchAlignmentEngine(config, max_lanes=4, scheduling="fifo")
-        sorted_stats = sorted_engine.scheduling_stats(pairs)
-        fifo_stats = fifo_engine.scheduling_stats(pairs)
+        engine = BatchAlignmentEngine(config, max_lanes=4)
+        sorted_stats = engine.scheduling_stats(pairs)
+        # Input-order chunking of the same per-lane work is the baseline.
+        fifo_stats = lockstep_stats(
+            [engine.expected_work(len(pattern)) for pattern, _ in pairs], 4
+        )
         assert sorted_stats["useful_work"] == fifo_stats["useful_work"]
         assert sorted_stats["efficiency"] > fifo_stats["efficiency"]
         assert sorted_stats["efficiency"] > 0.9  # homogeneous chunks
@@ -469,18 +473,12 @@ class TestWaveScheduling:
         order = engine.schedule(pairs)
         windows = [engine.expected_windows(len(pairs[i][0])) for i in order]
         assert windows == sorted(windows)
-        fifo = BatchAlignmentEngine(GenASMConfig(), scheduling="fifo")
-        assert fifo.schedule(pairs) == [0, 1, 2, 3]
 
     def test_expected_windows_matches_measured_window_metadata(self, rng):
         engine = BatchAlignmentEngine(GenASMConfig())
         pairs = self._mixed_pairs(rng) + [("", "ACGT")]
         for (pattern, _), alignment in zip(pairs, engine.align_pairs(pairs)):
             assert engine.expected_windows(len(pattern)) == alignment.metadata["windows"]
-
-    def test_invalid_scheduling_rejected(self):
-        with pytest.raises(ValueError):
-            BatchAlignmentEngine(GenASMConfig(), scheduling="random")
 
     def test_warp_divergence_sorted_schedule(self, rng):
         pairs = self._mixed_pairs(rng)
@@ -569,14 +567,13 @@ class TestSkipAheadTraceback:
     """Skip-ahead consumes whole match runs yet stays byte-identical."""
 
     @pytest.mark.parametrize("window_size", [64, 96, 150])
-    @pytest.mark.parametrize("skip_ahead", [False, True])
-    def test_counter_parity_with_scalar(self, rng, window_size, skip_ahead):
-        # tb_steps / dp_reads / bytes_read parity with the scalar walk,
-        # with skip-ahead enabled AND disabled: skipping steps must still
-        # charge the per-step reads the scalar walk would have issued.
-        config = window_config(window_size, traceback_skip_ahead=skip_ahead)
+    def test_counter_parity_with_scalar(self, rng, window_size):
+        # tb_steps / dp_reads / bytes_read parity with the scalar walk:
+        # skipping steps must still charge every per-step read the scalar
+        # walk makes.
+        config = window_config(window_size)
         pairs = random_pairs(rng) + adversarial_pairs()
-        context = f"window={window_size} skip={skip_ahead}"
+        context = f"window={window_size}"
 
         scalar_counter = AccessCounter()
         aligner = GenASMAligner(config)
@@ -595,54 +592,50 @@ class TestSkipAheadTraceback:
         assert batch_counter.as_dict() == scalar_counter.as_dict(), context
 
     @pytest.mark.parametrize("priority", PRIORITIES)
-    def test_toggle_invariant_across_priorities(self, rng, priority):
-        # Skip-ahead is only legal when M leads the tie-break order; for
-        # every priority the toggle must be a pure no-op on results and
-        # accounting (it silently deactivates when another letter leads).
+    def test_walk_accounting_across_priorities(self, rng, priority):
+        # Every emitted op is either a walk iteration or a skipped match
+        # step, and steps are skipped only when M leads the tie-break order.
         pairs = random_pairs(rng) + adversarial_pairs()
-        outcomes = {}
-        for skip in (False, True):
-            config = GenASMConfig(
-                match_priority=priority, traceback_skip_ahead=skip
-            )
-            counter = AccessCounter()
-            alignments = BatchAlignmentEngine(config).align_pairs(
-                pairs, counter=counter
-            )
-            outcomes[skip] = (alignments, counter.as_dict())
-        assert_pairwise_identical(outcomes[False][0], outcomes[True][0], priority)
-        assert outcomes[False][1] == outcomes[True][1], priority
+        engine = BatchAlignmentEngine(GenASMConfig(match_priority=priority))
+        saved = 0
+        for alignment in engine.align_pairs(pairs):
+            meta = alignment.metadata
+            assert meta["tb_walk_steps"] + meta["tb_walk_steps_saved"] == len(
+                alignment.cigar
+            ), priority
+            saved += meta["tb_walk_steps_saved"]
+        assert engine.traceback_stats["steps_saved"] == saved, priority
+        if priority[0] != "M":
+            assert saved == 0, priority
+            assert engine.traceback_stats["match_runs"] == 0, priority
 
     def test_walk_steps_saved_on_matchy_workload(self, rng):
         pattern = random_dna(rng, 120)
         pairs = [(pattern, mutate(rng, pattern, 6) + "ACGT") for _ in range(4)]
 
-        on = BatchAlignmentEngine(GenASMConfig())
-        on_alignments = on.align_pairs(pairs)
-        saved = sum(a.metadata["tb_walk_steps_saved"] for a in on_alignments)
+        engine = BatchAlignmentEngine(GenASMConfig())
+        alignments = engine.align_pairs(pairs)
+        saved = sum(a.metadata["tb_walk_steps_saved"] for a in alignments)
         assert saved > 0
-        assert on.traceback_stats["steps_saved"] == saved
-        assert on.traceback_stats["match_runs"] > 0
-        assert on.traceback_stats["seconds"] > 0
-        for alignment in on_alignments:
+        assert engine.traceback_stats["steps_saved"] == saved
+        assert engine.traceback_stats["match_runs"] > 0
+        assert engine.traceback_stats["seconds"] > 0
+        for alignment in alignments:
             meta = alignment.metadata
             assert meta["tb_match_run_ops"] >= meta["tb_match_runs"]
             assert meta["tb_walk_steps"] > 0
-
-        off = BatchAlignmentEngine(GenASMConfig(traceback_skip_ahead=False))
-        off_alignments = off.align_pairs(pairs)
-        assert all(
-            a.metadata["tb_walk_steps_saved"] == 0 for a in off_alignments
-        )
-        assert off.traceback_stats["match_runs"] == 0
-        assert_pairwise_identical(on_alignments, off_alignments, "skip on vs off")
-        # Each emitted op either came from a walk iteration or was skipped.
-        for on_a, off_a in zip(on_alignments, off_alignments):
-            assert (
-                on_a.metadata["tb_walk_steps"]
-                + on_a.metadata["tb_walk_steps_saved"]
-                == off_a.metadata["tb_walk_steps"]
+            # Each emitted op either came from a walk iteration or was skipped.
+            assert meta["tb_walk_steps"] + meta["tb_walk_steps_saved"] == len(
+                alignment.cigar
             )
+
+        # Skip-ahead is sound only when M leads the priority; otherwise the
+        # walk takes one column per step and saves nothing.
+        non_m_first = BatchAlignmentEngine(GenASMConfig(match_priority="DIMS"))
+        walked = non_m_first.align_pairs(pairs)
+        assert all(a.metadata["tb_walk_steps_saved"] == 0 for a in walked)
+        assert non_m_first.traceback_stats["steps_saved"] == 0
+        assert non_m_first.traceback_stats["match_runs"] == 0
 
     def test_scheduling_stats_fold_traceback_counters(self, rng):
         pattern = random_dna(rng, 90)

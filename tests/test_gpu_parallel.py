@@ -6,7 +6,7 @@ from repro.core.config import GenASMConfig
 from repro.gpu.device import A6000, RTX_3090, XEON_GOLD_5118
 from repro.gpu.kernel import GenASMKernelSpec, KernelCost
 from repro.gpu.simulator import CpuModel, GpuSimulator
-from repro.parallel.executor import BatchExecutor, Stopwatch, chunk_items
+from repro.parallel.executor import BatchExecutor, Stopwatch
 from tests.conftest import mutate, random_dna
 
 
@@ -147,23 +147,6 @@ class TestParallel:
         watch = Stopwatch()
         with pytest.raises(RuntimeError):
             watch.stop()
-
-    def test_chunk_items(self):
-        assert chunk_items(list(range(10)), 4) == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
-        with pytest.raises(ValueError):
-            chunk_items([1], 0)
-
-    def test_batch_executor_serial(self):
-        executor = BatchExecutor(workers=1)
-        result = executor.run(lambda x: x * 2, list(range(50)), name="double")
-        assert result.results == [x * 2 for x in range(50)]
-        assert result.items == 50
-        assert result.items_per_second > 0
-
-    def test_batch_executor_pairs(self):
-        executor = BatchExecutor(workers=1)
-        result = executor.run_pairs(lambda a, b: a + b, [("A", "B"), ("C", "D")])
-        assert result.results == ["AB", "CD"]
 
     def test_invalid_workers_raise(self):
         with pytest.raises(ValueError):

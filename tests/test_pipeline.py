@@ -156,7 +156,6 @@ class TestWaveAccumulator:
             wave_size=2,
             max_pending=3,
             linger_seconds=2.0,
-            scheduling="fifo",
             clock=lambda: now[0],
         )
         assert acc.push("a") == []
@@ -192,10 +191,8 @@ class TestWaveAccumulator:
         assert [i for i in acc.pending] == [9]
         assert acc.oldest_age() == pytest.approx(2.0)
 
-    def test_fifo_scheduling_keeps_arrival_order(self):
-        acc = WaveAccumulator(
-            wave_size=2, max_pending=4, scheduling="fifo", work_key=lambda i: -i
-        )
+    def test_default_work_key_keeps_arrival_order(self):
+        acc = WaveAccumulator(wave_size=2, max_pending=4)
         flushed = []
         for item in (5, 4, 3, 2):
             flushed.extend(acc.push(item))
@@ -208,8 +205,6 @@ class TestWaveAccumulator:
             WaveAccumulator(max_pending=0)
         with pytest.raises(ValueError):
             WaveAccumulator(linger_seconds=-1.0)
-        with pytest.raises(ValueError):
-            WaveAccumulator(scheduling="random")
 
 
 class TestMapStage:
@@ -383,7 +378,7 @@ class TestPipelineStats:
         for item in range(5):
             acc.push(item)
         waves = acc.flush()
-        assert waves == [[0, 1, 2, 3, 4]]  # fifo-equivalent: work_key constant
+        assert waves == [[0, 1, 2, 3, 4]]  # arrival order: work_key constant
         assert stats.wave_merges == 1
         assert stats.full_waves == 1
         assert stats.wave_fill_efficiency == 1.0

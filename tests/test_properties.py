@@ -15,6 +15,7 @@ from repro.batch import (
     LaneJob,
     SoAWave,
     build_wave_decisions,
+    lockstep_stats,
     run_dc_wave_state,
 )
 from repro.core.aligner import GenASMAligner
@@ -192,9 +193,9 @@ def test_lockstep_scheduling_invariants_hold_for_multi_word_lanes(lengths, group
     # groups of 2: sorted chunks [1, 2] + [2] cost 6, fifo [2, 2] + [1]
     # costs 5), so only assert it when the group size divides the batch.
     if len(lengths) % group == 0:
-        fifo = BatchAlignmentEngine(
-            config, max_lanes=group, scheduling="fifo"
-        ).scheduling_stats(pairs)
+        fifo = lockstep_stats(
+            [engine.expected_work(length) for length in lengths], group
+        )
         assert stats["efficiency"] >= fifo["efficiency"] - 1e-12
 
 

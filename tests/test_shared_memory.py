@@ -351,6 +351,82 @@ class TestExecutorLifecycle:
 
 
 # --------------------------------------------------------------------------- #
+# Align-stage-owned executors
+# --------------------------------------------------------------------------- #
+@pytest.fixture
+def built_executors(monkeypatch):
+    """Every SharedMemoryExecutor constructed while the test runs."""
+    import repro.parallel.shm as shm
+
+    built = []
+
+    class Recording(shm.SharedMemoryExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(shm, "SharedMemoryExecutor", Recording)
+    return built
+
+
+def serial_alignments(pairs, config):
+    from repro.core.aligner import GenASMAligner
+
+    aligner = GenASMAligner(config)
+    return [aligner.align(pattern, text) for pattern, text in pairs]
+
+
+def assert_owned_executor_released(built):
+    """One stage-built executor, closed, with none of its segments left."""
+    assert len(built) == 1
+    (executor,) = built
+    assert not executor.started
+    names = executor.segment_names()
+    assert names  # at least one wave went through shared memory
+    assert not [name for name in names if segment_exists(name)]
+
+
+class TestOwnedExecutor:
+    """``workers > 1`` without an executor: the align stage builds and owns one."""
+
+    def test_pipeline_align_workers_matches_serial(self, corpus, built_executors):
+        _, _, _, pairs = corpus
+        config = GenASMConfig()
+        pipeline = StreamingPipeline(config=config, wave_size=8, align_workers=2)
+        got = pipeline.align_pairs(pairs)
+        assert_same_alignments(got, serial_alignments(pairs, config))
+        assert [(a.pattern, a.text) for a in got] == pairs
+        assert_owned_executor_released(built_executors)
+
+    def test_service_workers_matches_serial(self, corpus, built_executors):
+        from repro.service import AlignmentService
+
+        _, _, _, pairs = corpus
+        config = GenASMConfig()
+        with AlignmentService(
+            config, wave_size=8, workers=2, linger_seconds=None
+        ) as service:
+            got = service.submit(pairs).result(timeout=120)
+        assert_same_alignments(got, serial_alignments(pairs, config))
+        assert_owned_executor_released(built_executors)
+
+    def test_caller_executor_outlives_the_stage(self, corpus):
+        from repro.pipeline import AlignStage
+        from repro.pipeline.pipeline import CandidateWork
+
+        _, _, _, pairs = corpus
+        config = GenASMConfig()
+        wave = [CandidateWork(i, None, None, p, t) for i, (p, t) in enumerate(pairs[:4])]
+        with SharedMemoryExecutor(workers=1, config=config) as ex:
+            stage = AlignStage(config, executor=ex)
+            stage.submit(wave)
+            ((_, first),) = stage.drain()
+            stage.close()
+            assert stage.executor is ex and ex.started
+            assert_same_alignments(ex.run_alignments(pairs[:4]), first)
+
+
+# --------------------------------------------------------------------------- #
 # Accumulator tail merging
 # --------------------------------------------------------------------------- #
 class _Item:
