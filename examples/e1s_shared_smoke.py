@@ -15,10 +15,9 @@ Each run appends its measurement to ``BENCH_pipeline.json``'s history
 through :class:`repro.telemetry.bench.BenchRecorder` (schema-validated,
 provenance-stamped with the git SHA and config fingerprint) so the
 checked-in file doubles as a local trend log.  The shared pipeline
-streams in ``max_pending``-sized waves — with descriptor handoffs a wave
-costs the same to ship regardless of lane count, while every extra wave
-pays a full column-loop dispatch, so the backpressure window is the
-natural zero-copy wave.  The executor is warmed outside the timed
+streams in ``max_pending``-sized waves — a wave ships as one segment
+copy of its pairs plus a small layout, while every extra wave pays a
+full DC dispatch, so the backpressure window is the natural wave.  The executor is warmed outside the timed
 region: the warm pool is the operating mode this executor exists for.
 
 Run with::

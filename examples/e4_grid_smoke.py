@@ -126,18 +126,22 @@ def main() -> None:
 
     rows = runner.run()
     for row in rows:
+        cell = f"{row['workload']:>10s} {row['backend']:>10s} wave={row['wave_size']:<4d}"
+        if "error" in row:
+            print(f"{cell} FAILED: {row['error']}")
+            continue
         print(
-            f"{row['workload']:>10s} {row['backend']:>10s} "
-            f"wave={row['wave_size']:<4d} {row['pairs']:4d} pairs "
+            f"{cell} {row['pairs']:4d} pairs "
             f"{row['pairs_per_second']:8.1f} pairs/s "
             f"identical={row['identical']}"
         )
     verdict = runner.check(rows)
     gate = verdict["gate"]
-    print(
-        f"gate: {gate['metric']} {gate['value']:.1f} vs {gate['reference_value']:.1f} "
-        f"-> ratio {verdict['ratio']:.2f} (floor {verdict['floor']})"
-    )
+    if verdict["ratio"] is not None:
+        print(
+            f"gate: {gate['metric']} {gate['value']:.1f} vs {gate['reference_value']:.1f} "
+            f"-> ratio {verdict['ratio']:.2f} (floor {verdict['floor']})"
+        )
     trend = runner.recorder.trend(grid.history_key, "pairs_per_second")
     if trend is not None:
         print(

@@ -81,6 +81,7 @@ from repro.core.config import GenASMConfig
 from repro.core.genasm_dc import DCTable
 from repro.core.improvements import reachable_column_start
 from repro.core.metrics import AccessCounter, MemoryFootprint
+from repro.core.windowing import window_cut
 
 __all__ = [
     "BatchAlignmentEngine",
@@ -673,16 +674,11 @@ class BatchAlignmentEngine:
             active = [s for s in states if not s.done]
             if not active:
                 break
-            wave_members: List[Tuple[_PairState, str, str, int, int]] = []
+            wave_members: List[Tuple[_PairState, str, str, int]] = []
             for s in active:
-                remaining = len(s.pattern) - s.p
-                w = min(config.window_size, remaining)
-                text_budget = min(len(s.text) - s.t, w + config.text_slack)
-                window_pattern = s.pattern[s.p : s.p + w]
-                window_text = s.text[s.t : s.t + max(0, text_budget)]
-                last_window = w >= remaining
-                commit = w if last_window else max(1, min(w, min(config.window_step, w)))
-
+                window_pattern, window_text, commit = window_cut(
+                    s.pattern, s.text, s.p, s.t, config
+                )
                 if len(window_text) == 0:
                     # No DP to run: the committed pattern prefix is emitted
                     # as insertions (align_window's empty-text early return,
@@ -696,7 +692,7 @@ class BatchAlignmentEngine:
                         stored=0,
                     )
                     continue
-                wave_members.append((s, window_pattern, window_text, commit, w))
+                wave_members.append((s, window_pattern, window_text, commit))
 
             if wave_members:
                 self._run_wave(wave_members)
@@ -744,7 +740,7 @@ class BatchAlignmentEngine:
 
     # ------------------------------------------------------------------ #
     def _run_wave(
-        self, members: Sequence[Tuple[_PairState, str, str, int, int]]
+        self, members: Sequence[Tuple[_PairState, str, str, int]]
     ) -> None:
         """Run one windowing step for every member, with retry sub-waves.
 
@@ -755,14 +751,14 @@ class BatchAlignmentEngine:
         budget in the next sub-wave.
         """
         config = self.config
-        # (state, rev_pattern, rev_text, commit, window_text_len, budget)
+        # (state, rev_pattern, rev_text, commit, budget)
         pending = [
-            (s, wp[::-1], wt[::-1], commit, len(wt), max(1, min(w, config.k)))
-            for s, wp, wt, commit, w in members
+            (s, wp[::-1], wt[::-1], commit, max(1, min(len(wp), config.k)))
+            for s, wp, wt, commit in members
         ]
         while pending:
             jobs = []
-            for s, rev_p, rev_t, commit, _wt_len, budget in pending:
+            for s, rev_p, rev_t, commit, budget in pending:
                 store_from = 0
                 if config.traceback_band:
                     store_from = reachable_column_start(len(rev_t), commit, budget)
@@ -787,14 +783,14 @@ class BatchAlignmentEngine:
 
             solved = state.min_errors >= 0
             retries = []
-            for lane, (s, rev_p, rev_t, commit, wt_len, budget) in enumerate(pending):
+            for lane, (s, rev_p, rev_t, commit, budget) in enumerate(pending):
                 if not solved[lane]:
                     m = len(rev_p)
                     if budget >= m:
                         raise AssertionError(
                             "GenASM window failed with a full error budget (internal error)"
                         )
-                    retries.append((s, rev_p, rev_t, commit, wt_len, min(m, budget * 2)))
+                    retries.append((s, rev_p, rev_t, commit, min(m, budget * 2)))
 
             if solved.any():
                 start = time.perf_counter()
@@ -806,7 +802,7 @@ class BatchAlignmentEngine:
         self,
         state: WaveDCState,
         wave: SoAWave,
-        pending: Sequence[Tuple["_PairState", str, str, int, int, int]],
+        pending: Sequence[Tuple["_PairState", str, str, int, int]],
         solved: np.ndarray,
     ) -> None:
         """Trace all solved lanes with the lockstep decision-word walk."""
@@ -830,7 +826,7 @@ class BatchAlignmentEngine:
             kernels=self._kernels,
         )
         stored = state.stored_bytes()
-        for lane, (s, _rev_p, _rev_t, _commit, wt_len, _budget) in enumerate(pending):
+        for lane, (s, _rev_p, rev_t, _commit, _budget) in enumerate(pending):
             tb = tracebacks[lane]
             if tb is None:
                 continue
@@ -838,7 +834,7 @@ class BatchAlignmentEngine:
                 s,
                 codes=tb.codes,
                 pattern_consumed=tb.pattern_consumed,
-                text_consumed=wt_len - tb.text_stop,
+                text_consumed=len(rev_t) - tb.text_stop,
                 rows=int(state.rows_computed[lane]),
                 stored=int(stored[lane]),
                 walk_steps=tb.walk_steps,

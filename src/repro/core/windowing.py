@@ -36,7 +36,7 @@ from repro.core.genasm_tb import genasm_traceback
 from repro.core.improvements import reachable_column_start
 from repro.core.metrics import AccessCounter
 
-__all__ = ["WindowResult", "align_window", "align_windowed", "WindowedResult"]
+__all__ = ["WindowResult", "align_window", "align_windowed", "WindowedResult", "window_cut"]
 
 
 @dataclass
@@ -148,6 +148,21 @@ def align_window(
     )
 
 
+def window_cut(
+    pattern: str, text: str, p: int, t: int, config: GenASMConfig
+) -> Tuple[str, str, int]:
+    """``(window_pattern, window_text, commit)`` of the window at offsets ``p``, ``t``.
+
+    ``commit`` is every pattern column in the last window, else
+    ``window_step`` (``>= 1``).  The scalar and batch loops both cut here.
+    """
+    remaining = len(pattern) - p
+    w = min(config.window_size, remaining)
+    text_budget = min(len(text) - t, w + config.text_slack)
+    commit = w if w >= remaining else min(config.window_step, w)
+    return pattern[p : p + w], text[t : t + max(0, text_budget)], commit
+
+
 def align_windowed(
     pattern: str,
     text: str,
@@ -178,14 +193,7 @@ def align_windowed(
 
     total_p = len(pattern)
     while p < total_p:
-        remaining = total_p - p
-        w = min(config.window_size, remaining)
-        text_budget = min(len(text) - t, w + config.text_slack)
-        window_pattern = pattern[p : p + w]
-        window_text = text[t : t + max(0, text_budget)]
-
-        last_window = w >= remaining
-        commit = None if last_window else min(config.window_step, w)
+        window_pattern, window_text, commit = window_cut(pattern, text, p, t, config)
         result = align_window(
             window_pattern,
             window_text,

@@ -156,8 +156,9 @@ class SharedBackend:
     """Shared-memory descriptor handoff to a warm spawn pool.
 
     Dispatches through :class:`repro.parallel.shm.SharedMemoryExecutor`:
-    pairs are packed into per-wave shared segments and only layout
-    metadata crosses the process boundary.  Pass an already-started
+    each wave's pairs are copied once into a per-wave shared segment that
+    the worker decodes, and only layout metadata crosses the process
+    boundary by pickle.  Pass an already-started
     ``executor`` to amortise pool spawn across calls (it is left running);
     otherwise a temporary one is created and torn down around the batch.
     """
@@ -169,7 +170,7 @@ class SharedBackend:
         ordering="input order (contiguous chunks, concatenated)",
         traceback="decision-word wave traceback per worker",
         multiprocess=True,
-        summary="zero-copy wave handoff to a reusable warm pool",
+        summary="per-wave pair segments to a warm pool; hosted genome/index attached",
     )
 
     def align_pairs(self, pairs, config, *, workers=1, mapper=None, executor=None):

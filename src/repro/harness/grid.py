@@ -279,7 +279,9 @@ class GridRunner:
 
         Each row carries the cell's axis values, pair count, wall seconds,
         ``pairs_per_second``, mean alignment identity and the
-        ``identical`` equivalence flag against the serial reference.
+        ``identical`` equivalence flag against the serial reference.  A
+        cell that raises gets a row with its axis values, ``identical:
+        False`` and an ``error`` string instead, and the sweep goes on.
         With ``append`` (default) rows are also written to the grid's
         history through the recorder, provenance-stamped; ``save``
         persists the bench file afterwards.
@@ -287,24 +289,30 @@ class GridRunner:
         rows: List[Dict[str, object]] = []
         for cell in self.grid.cells():
             config = self.grid.config_for(cell.window_size)
-            alignments, seconds = self._run_cell(cell, config)
-            reference = self._reference(cell, config)
-            pairs = len(alignments)
-            identity = (
-                sum(a.identity for a in alignments) / pairs if pairs else 1.0
-            )
             row: Dict[str, object] = {
                 "grid": self.grid.name,
                 "workload": cell.workload,
                 "backend": cell.backend,
                 "window_size": cell.window_size,
                 "wave_size": cell.wave_size,
-                "pairs": pairs,
-                "seconds": round(seconds, 4),
-                "pairs_per_second": round(pairs / max(1e-9, seconds), 2),
-                "mean_identity": round(identity, 4),
-                "identical": _same_alignments(alignments, reference),
             }
+            try:
+                alignments, seconds = self._run_cell(cell, config)
+                reference = self._reference(cell, config)
+            except Exception as exc:  # one failing cell must not abort the sweep
+                row.update(identical=False, error=f"{type(exc).__name__}: {exc}")
+            else:
+                pairs = len(alignments)
+                identity = (
+                    sum(a.identity for a in alignments) / pairs if pairs else 1.0
+                )
+                row.update(
+                    pairs=pairs,
+                    seconds=round(seconds, 4),
+                    pairs_per_second=round(pairs / max(1e-9, seconds), 2),
+                    mean_identity=round(identity, 4),
+                    identical=_same_alignments(alignments, reference),
+                )
             if append:
                 self.recorder.append(self.grid.history_key, row, config=config)
             rows.append(row)
@@ -318,8 +326,8 @@ class GridRunner:
         Returns the :meth:`BenchRecorder.check_ratio` verdict augmented
         with the gate's cells and metric values; ``{"ok": True}`` -shaped
         when the grid declares no gate.  Also fails (``ok=False``) when
-        any cell's alignments were not identical to the reference —
-        equivalence is part of the gate, not just a row field.
+        any cell raised or was not identical to the reference — equivalence
+        is part of the gate.  A raised gate cell has ``value``/``ratio`` None.
         """
         broken = [row for row in rows if not row.get("identical", False)]
         if self.grid.gate is None:
@@ -328,9 +336,11 @@ class GridRunner:
         cell = self.grid.select_cell(self.grid.gate["cell"])
         reference = self.grid.select_cell(self.grid.gate["reference_cell"])
 
-        def metric_of(target: GridCell) -> float:
+        def metric_of(target: GridCell) -> Optional[float]:
             for row in rows:
                 if all(row.get(axis) == getattr(target, axis) for axis in GRID_AXES):
+                    if "error" in row:
+                        return None  # a failed cell measured nothing
                     value = row.get(metric)
                     if not isinstance(value, (int, float)) or isinstance(value, bool):
                         raise ValueError(
@@ -341,8 +351,11 @@ class GridRunner:
 
         numerator = metric_of(cell)
         denominator = metric_of(reference)
-        ratio = numerator / max(1e-9, denominator)
-        verdict = self.recorder.check_ratio(ratio, section=self.grid.section)
+        if numerator is None or denominator is None:
+            verdict: Dict[str, object] = {"ok": False, "ratio": None}
+        else:
+            ratio = numerator / max(1e-9, denominator)
+            verdict = self.recorder.check_ratio(ratio, section=self.grid.section)
         verdict.update(
             {
                 "ok": bool(verdict["ok"]) and not broken,

@@ -6,7 +6,7 @@ for this library: :meth:`BatchExecutor.run_alignments` times one batch of
 GenASM alignments on any backend of the :mod:`repro.execution` registry —
 ``serial`` (a plain Python loop, the default and the reference),
 ``vectorized`` (the lockstep SoA engine from :mod:`repro.batch`),
-``shared`` (the zero-copy shared-memory pool of :mod:`repro.parallel.shm`),
+``shared`` (the shared-memory pool of :mod:`repro.parallel.shm`),
 ``streaming`` (the wave pipeline), ``service`` (the multi-tenant
 front-end) and anything registered later (``gpu``) — without this module
 knowing about them.  Every backend produces byte-identical alignments.

@@ -1,4 +1,4 @@
-"""Shared-memory execution: ship descriptors between processes, not arrays.
+"""Shared-memory execution: ship layouts between processes, not arrays.
 
 A pool that pickles its payload into every spawn worker ships sequence
 pairs per task and — for mapping — nothing at all, because the reference
@@ -10,7 +10,7 @@ way the paper's GPU design keeps wave state resident and moves *work*:
 * **Segments** (:class:`SharedSegment`) own one
   :mod:`multiprocessing.shared_memory` block with a deterministic
   close-and-unlink lifecycle (the creator unlinks; attachments never do —
-  see :func:`repro.batch.soa._unregister_attachment`).
+  see :func:`_unregister_attachment`).
 * **Layouts** (:class:`SegmentLayout`) describe named arrays packed into a
   segment — dtype/shape/offset metadata only, tiny and picklable.  What
   crosses a process boundary is the layout; the bytes stay put.
@@ -41,7 +41,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.batch.soa import _unregister_attachment
 from repro.core.alignment import checked_pairs
 
 __all__ = [
@@ -59,6 +58,21 @@ __all__ = [
 
 #: Byte alignment of every array offset inside a segment.
 _ALIGN = 8
+
+
+def _unregister_attachment(shm) -> None:
+    """Stop the resource tracker from adopting an *attached* segment.
+
+    On Python ≤ 3.12 an attaching process's tracker unlinks the segment at
+    that process's exit, under its still-living creator (bpo-39959), so
+    attachments unregister at once; unlinking is the creator's job alone.
+    """
+    try:
+        from multiprocessing import resource_tracker
+
+        resource_tracker.unregister(shm._name, "shared_memory")
+    except Exception:  # pragma: no cover - tracker layout is CPython detail
+        pass
 
 
 class SharedSegment:

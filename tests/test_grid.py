@@ -193,6 +193,38 @@ class TestGridRunner:
         rows = GridRunner(grid, bench_path).run(append=False)
         assert rows[0]["identical"] is False
 
+    def test_failing_cell_is_recorded_and_sweep_continues(self, bench_path, monkeypatch):
+        """One raising backend fails its own cell, not the sweep or the save."""
+        from repro.batch.engine import BatchAlignmentEngine
+
+        def explode(self, pairs):
+            raise RuntimeError("wave exploded")
+
+        monkeypatch.setattr(BatchAlignmentEngine, "align_pairs", explode)
+        grid = ExperimentGrid.from_dict(tiny_spec(backends=["vectorized", "serial"]))
+        runner = GridRunner(grid, bench_path)
+        rows = runner.run()
+
+        failed, healthy = rows
+        assert failed["backend"] == "vectorized"
+        assert failed["identical"] is False
+        assert failed["error"] == "RuntimeError: wave exploded"
+        assert "pairs_per_second" not in failed
+        assert healthy["backend"] == "serial"
+        assert healthy["identical"] is True and "error" not in healthy
+        assert healthy["pairs_per_second"] > 0
+
+        stored = json.loads(bench_path.read_text())[grid.history_key]
+        assert [row["backend"] for row in stored] == ["vectorized", "serial"]
+        assert stored[0]["error"] == "RuntimeError: wave exploded"
+
+        verdict = runner.check(rows)
+        assert verdict["ok"] is False
+        assert verdict["non_identical"] == 1
+        assert verdict["ratio"] is None and verdict["gate"]["value"] is None
+        no_gate = GridRunner(ExperimentGrid.from_dict(tiny_spec(gate=None)), bench_path)
+        assert no_gate.check(rows)["ok"] is False
+
     def test_run_without_append_leaves_file_untouched(self, bench_path):
         grid = ExperimentGrid.from_dict(
             tiny_spec(backends=["vectorized"], gate=None)

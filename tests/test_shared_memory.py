@@ -1,9 +1,8 @@
 """Lifecycle, equivalence and leak tests for the shared-memory layer.
 
-Covers the zero-copy execution core end to end:
+Covers the shared-memory execution core end to end:
 
-* descriptor / pair-block round trips (:mod:`repro.parallel.shm`,
-  :class:`repro.batch.soa.SoAWave` export/attach);
+* segment layout / pair-block round trips (:mod:`repro.parallel.shm`);
 * the hosted genome and minimizer index matching their dict-based
   originals hit for hit;
 * :class:`SharedMemoryExecutor` segment hygiene — every segment the
@@ -26,8 +25,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.batch.engine import BatchAlignmentEngine, run_dc_wave_state
-from repro.batch.soa import LaneJob, SoAWave
+from repro.batch.engine import BatchAlignmentEngine
 from repro.core.config import GenASMConfig
 from repro.genomics.genome import SyntheticGenome
 from repro.genomics.read_simulator import PacBioSimulator
@@ -151,61 +149,6 @@ class TestSegmentsAndLayouts:
         with SharedSegment(64) as segment:
             name = segment.name
             segment.buf[:4] = b"ping"
-        assert not segment_exists(name)
-
-
-# --------------------------------------------------------------------------- #
-# Wave descriptors
-# --------------------------------------------------------------------------- #
-def _lane_tables(wave):
-    """Run the DC wave and adapt every lane to its scalar ``DCTable``."""
-    state = run_dc_wave_state(wave)
-    return [state.table(lane) for lane in range(wave.lanes)]
-
-
-def _make_wave(rng, lengths=(12, 40, 64, 65, 100)):
-    jobs = []
-    for length in lengths:
-        pattern = random_dna(rng, length)
-        text = mutate(rng, pattern, max(1, length // 8)) + random_dna(rng, 4)
-        jobs.append(LaneJob(pattern=pattern, text=text, max_errors=max(1, length // 10)))
-    return SoAWave(jobs, traceback_band=True)
-
-
-class TestWaveDescriptor:
-    def test_plain_buffer_round_trip(self, rng):
-        wave = _make_wave(rng)
-        descriptor = wave.descriptor()
-        buffer = bytearray(descriptor.nbytes)
-        wave.pack_into(buffer, descriptor)
-        rebuilt = SoAWave.from_buffer(descriptor, buffer)
-        assert [(j.pattern, j.text, j.max_errors) for j in rebuilt.jobs] == [
-            (j.pattern, j.text, j.max_errors) for j in wave.jobs
-        ]
-        # Reference tables come from a fresh wave (same seed) in case the
-        # first run mutated wave state in place.
-        want = _lane_tables(_make_wave(random.Random(1234)))
-        got = _lane_tables(rebuilt)
-        for a, b in zip(got, want):
-            assert a.min_errors == b.min_errors
-            assert a.final_column == b.final_column
-
-    def test_shared_export_attach_unlink(self, rng):
-        wave = _make_wave(rng)
-        reference = _lane_tables(_make_wave(random.Random(1234)))
-        shared = wave.to_shared()
-        name = shared.descriptor.segment
-        assert name is not None
-        attached = SoAWave.from_shared(shared.descriptor)
-        try:
-            got = _lane_tables(attached)
-            for a, b in zip(got, reference):
-                assert a.min_errors == b.min_errors
-                assert a.stored_bytes() == b.stored_bytes()
-        finally:
-            attached.close()
-            shared.unlink()
-        shared.unlink()  # idempotent
         assert not segment_exists(name)
 
 
